@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint sarif vet fmt race chaos tracesmoke batchsmoke crashsmoke servesmoke metricssmoke bench ci
+.PHONY: all build test lint sarif vet fmt race chaos perfbenchtest tracesmoke batchsmoke crashsmoke servesmoke metricssmoke bench ci
 
 all: build test lint
 
@@ -39,6 +39,14 @@ race:
 
 chaos:
 	$(GO) test -race -run 'Chaos|Checkpoint|Cancel' -count=2 ./...
+
+# perfbenchtest builds, vets and tests the benchmark module under
+# perfbench/. It is a module of its own (it replaces spotlight with the
+# checkout root), so `go build ./...` and `go test ./...` at the root do
+# not compile it, yet it calls sched.Constraint.Random, core.Transform
+# and the engine by name. Mirrors the CI step.
+perfbenchtest:
+	cd perfbench && GOFLAGS= GOPROXY=off $(GO) vet ./... && GOFLAGS= GOPROXY=off $(GO) test ./...
 
 # tracesmoke proves the observe-only invariant end to end through the
 # CLI: a traced and an untraced fig6 run produce byte-identical CSVs,
@@ -183,4 +191,4 @@ bench:
 	  }' /tmp/bench6.txt > BENCH_6.json
 	cat BENCH_6.json
 
-ci: lint build test race chaos tracesmoke batchsmoke crashsmoke servesmoke metricssmoke
+ci: lint build test race chaos perfbenchtest tracesmoke batchsmoke crashsmoke servesmoke metricssmoke

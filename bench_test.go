@@ -345,18 +345,39 @@ func BenchmarkTimeloopEvaluate(b *testing.B) {
 }
 
 // BenchmarkScheduleSampling measures the candidate generator that feeds
-// every acquisition batch.
+// every acquisition batch, per drawn schedule: one-shot is
+// Constraint.Random, which builds a sampler per draw; per-layer draws
+// from one sampler built up front, as a layer search does. The
+// spotlight-f rows sample a fixed dataflow whose untiled dimensions are
+// fit by FitTiles, which the per-layer sampler computes once.
 func BenchmarkScheduleSampling(b *testing.B) {
 	l := workload.ResNet50().Layers[6]
-	rng := rand.New(rand.NewSource(1))
-	free := sched.Free()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = free.Random(rng, l, 512, 128<<10)
+	for _, tc := range []struct {
+		name string
+		c    sched.Constraint
+	}{
+		{"free", sched.Free()},
+		{"spotlight-f", sched.SpotlightF(sched.NVDLALike())},
+	} {
+		b.Run(tc.name+"/one-shot", func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < b.N; i++ {
+				_ = tc.c.Random(rng, l, 512, 128<<10)
+			}
+		})
+		b.Run(tc.name+"/per-layer", func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			smp := tc.c.Sampler(l, 512, 128<<10)
+			for i := 0; i < b.N; i++ {
+				_ = smp.Draw(rng)
+			}
+		})
 	}
 }
 
-// BenchmarkFeatureTransform measures the Figure 4 feature computation.
+// BenchmarkFeatureTransform measures the Figure 4 feature computation
+// for one candidate: one-shot is core.Transform; per-layer reuses one
+// Candidate and feature row, as a layer search does.
 func BenchmarkFeatureTransform(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	a := hw.EdgeSpace().Random(rng)
@@ -364,10 +385,19 @@ func BenchmarkFeatureTransform(b *testing.B) {
 	s := sched.Free().Random(rng, l, a.RFBytesPerPE(), a.L2Bytes())
 	p := core.Point{Accel: a, Sched: s, Layer: l}
 	fs := core.SoftwareFeatures()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = core.Transform(fs, p)
-	}
+	b.Run("one-shot", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = core.Transform(fs, p)
+		}
+	})
+	b.Run("per-layer", func(b *testing.B) {
+		c := core.Candidate{Point: p}
+		row := make([]float64, len(fs))
+		for i := 0; i < b.N; i++ {
+			c.Sched = s
+			c.TransformInto(row, fs)
+		}
+	})
 }
 
 // BenchmarkDABOSuggest measures one acquisition step at the paper's

@@ -173,7 +173,7 @@ func (d *DABO) SuggestIndex(candidates [][]float64) int {
 	if len(candidates) == 0 {
 		return -1
 	}
-	if len(d.y) < d.warmup || d.Degraded() {
+	if d.picksAtRandom() {
 		return d.rng.Intn(len(candidates))
 	}
 	if err := d.ensureFit(); err != nil {
@@ -201,6 +201,11 @@ func (d *DABO) SuggestIndex(candidates [][]float64) int {
 	}
 	return best
 }
+
+// picksAtRandom reports whether the next SuggestIndex picks uniformly at
+// random without reading the candidates' features: during warmup and
+// once degraded. A caller may then leave the feature rows unfilled.
+func (d *DABO) picksAtRandom() bool { return len(d.y) < d.warmup || d.Degraded() }
 
 // allInvalidPenalty is the log-cost assigned to infeasible observations
 // while no valid observation exists yet. Any finite constant works — a

@@ -12,7 +12,41 @@ import (
 // real value, carrying the domain information of §IV-B.
 type Feature struct {
 	Name string
-	Fn   func(Point) float64
+	Fn   func(*Candidate) float64
+}
+
+// Candidate is what a feature reads: the co-design point, and its
+// schedule's trip counts, computed at most once per point however many
+// features read them. Hardware-only points carry a zero schedule; no
+// hardware feature asks for trip counts, so they are never computed for
+// them.
+type Candidate struct {
+	Point
+	n2, n1 [workload.NumDims]int
+	trips  bool
+}
+
+// Trips returns the schedule's DRAM-level (Size/T2) and L2-level (T2/T1)
+// trip counts per dimension, computing them on first use. Callers must
+// not modify them.
+func (c *Candidate) Trips() (n2, n1 *[workload.NumDims]int) {
+	if !c.trips {
+		c.n2 = c.Sched.OuterTrips(c.Layer)
+		c.n1 = c.Sched.InnerTrips(c.Layer)
+		c.trips = true
+	}
+	return &c.n2, &c.n1
+}
+
+// TransformInto writes the feature vector of c's point into dst, which
+// has len(fs) entries. It forgets the previous point's trip counts first,
+// so a layer search reuses one Candidate per batch slot and only sets its
+// Sched per draw.
+func (c *Candidate) TransformInto(dst []float64, fs []Feature) {
+	c.trips = false
+	for i, f := range fs {
+		dst[i] = f.Fn(c)
+	}
 }
 
 // FeatureMode selects which feature set a daBO instance trains its
@@ -53,43 +87,43 @@ func lg(v float64) float64 { return math.Log1p(v) }
 // domain information described in §IV-B2.
 func SoftwareFeatures() []Feature {
 	return []Feature{
-		{"simd_lanes", func(p Point) float64 { return float64(p.Accel.SIMDLanes) }},
-		{"onchip_bandwidth", func(p Point) float64 { return float64(p.Accel.NoCBW) }},
-		{"total_pes", func(p Point) float64 { return float64(p.Accel.PEs) }},
-		{"pe_array_width", func(p Point) float64 { return float64(p.Accel.Width) }},
-		{"total_onchip_sram", func(p Point) float64 {
-			return float64(p.Accel.RFKB + p.Accel.L2KB)
+		{"simd_lanes", func(c *Candidate) float64 { return float64(c.Accel.SIMDLanes) }},
+		{"onchip_bandwidth", func(c *Candidate) float64 { return float64(c.Accel.NoCBW) }},
+		{"total_pes", func(c *Candidate) float64 { return float64(c.Accel.PEs) }},
+		{"pe_array_width", func(c *Candidate) float64 { return float64(c.Accel.Width) }},
+		{"total_onchip_sram", func(c *Candidate) float64 {
+			return float64(c.Accel.RFKB + c.Accel.L2KB)
 		}},
-		{"kernel_parallelism", func(p Point) float64 {
+		{"kernel_parallelism", func(c *Candidate) float64 {
 			// R₀ × S₀: the filter extent resident at the outer tile level.
-			return lg(float64(p.Sched.T2[workload.DimR] * p.Sched.T2[workload.DimS]))
+			return lg(float64(c.Sched.T2[workload.DimR] * c.Sched.T2[workload.DimS]))
 		}},
-		{"degree_of_unrolling", func(p Point) float64 {
+		{"degree_of_unrolling", func(c *Candidate) float64 {
 			// Outer unrolled loop extent × inner unrolled loop extent
 			// (both L2-level loops, distributed over rows and columns).
-			n1 := p.Sched.InnerTrips(p.Layer)
-			if p.Sched.OuterUnroll == p.Sched.InnerUnroll {
-				return lg(float64(n1[p.Sched.OuterUnroll]))
+			_, n1 := c.Trips()
+			if c.Sched.OuterUnroll == c.Sched.InnerUnroll {
+				return lg(float64(n1[c.Sched.OuterUnroll]))
 			}
-			return lg(float64(n1[p.Sched.OuterUnroll]) * float64(n1[p.Sched.InnerUnroll]))
+			return lg(float64(n1[c.Sched.OuterUnroll]) * float64(n1[c.Sched.InnerUnroll]))
 		}},
 		{"pe_utilization", peUtilization},
-		{"loop_iterations", func(p Point) float64 {
-			return lg(loopIterations(p))
+		{"loop_iterations", func(c *Candidate) float64 {
+			return lg(loopIterations(c))
 		}},
-		{"dram_transfers", func(p Point) float64 {
+		{"dram_transfers", func(c *Candidate) float64 {
 			// (X₀/X₂) × (Y₀/Y₂) × (array width + array height).
-			n2 := p.Sched.OuterTrips(p.Layer)
+			n2, _ := c.Trips()
 			return lg(float64(n2[workload.DimX]) * float64(n2[workload.DimY]) *
-				float64(p.Accel.Width+p.Accel.Height()))
+				float64(c.Accel.Width+c.Accel.Height()))
 		}},
-		{"common_unrolled_dims", func(p Point) float64 {
+		{"common_unrolled_dims", func(c *Candidate) float64 {
 			// Prime-basis linear combination spreading the few unique
 			// values of each tile parameter apart (§IV-B2).
-			s := p.Sched
+			s := &c.Sched
 			return lg(2*float64(s.T2[workload.DimX]) +
 				3*float64(s.T2[workload.DimY]) +
-				5*float64(p.Layer.Size(workload.DimK)) +
+				5*float64(c.Layer.Size(workload.DimK)) +
 				7*float64(s.T2[workload.DimK]) +
 				11*float64(s.T1[workload.DimK]))
 		}},
@@ -100,10 +134,10 @@ func SoftwareFeatures() []Feature {
 // array doing useful work after both spatial distributions (rows take
 // the outer-unrolled L2-level loop, columns the inner one), including
 // partial-tile (edge-case) waste.
-func peUtilization(p Point) float64 {
-	h, w := p.Accel.Height(), p.Accel.Width
-	n1 := p.Sched.InnerTrips(p.Layer)
-	uo, ui := p.Sched.OuterUnroll, p.Sched.InnerUnroll
+func peUtilization(c *Candidate) float64 {
+	h, w := c.Accel.Height(), c.Accel.Width
+	_, n1 := c.Trips()
+	uo, ui := c.Sched.OuterUnroll, c.Sched.InnerUnroll
 	if uo == ui {
 		return float64(n1[uo]) / (float64(ceilDiv(n1[uo], h*w)) * float64(h*w))
 	}
@@ -114,11 +148,11 @@ func peUtilization(p Point) float64 {
 
 // loopIterations approximates the number of temporal iterations to
 // completion after spatial distribution.
-func loopIterations(p Point) float64 {
-	h, w := p.Accel.Height(), p.Accel.Width
-	n2 := p.Sched.OuterTrips(p.Layer)
-	n1 := p.Sched.InnerTrips(p.Layer)
-	uo, ui := p.Sched.OuterUnroll, p.Sched.InnerUnroll
+func loopIterations(c *Candidate) float64 {
+	h, w := c.Accel.Height(), c.Accel.Width
+	n2, trips1 := c.Trips()
+	n1 := *trips1 // distributed below; the shared counts stay intact
+	uo, ui := c.Sched.OuterUnroll, c.Sched.InnerUnroll
 	if uo == ui {
 		n1[uo] = ceilDiv(n1[uo], h*w)
 	} else {
@@ -140,25 +174,25 @@ func loopIterations(p Point) float64 {
 // §IV-B1 describes.
 func VanillaSoftwareFeatures() []Feature {
 	fs := []Feature{
-		{"raw_pes", func(p Point) float64 { return float64(p.Accel.PEs) }},
-		{"raw_width", func(p Point) float64 { return float64(p.Accel.Width) }},
-		{"raw_simd", func(p Point) float64 { return float64(p.Accel.SIMDLanes) }},
-		{"raw_rf_kb", func(p Point) float64 { return float64(p.Accel.RFKB) }},
-		{"raw_l2_kb", func(p Point) float64 { return float64(p.Accel.L2KB) }},
-		{"raw_bw", func(p Point) float64 { return float64(p.Accel.NoCBW) }},
-		{"raw_outer_unroll", func(p Point) float64 { return float64(p.Sched.OuterUnroll) }},
-		{"raw_inner_unroll", func(p Point) float64 { return float64(p.Sched.InnerUnroll) }},
+		{"raw_pes", func(c *Candidate) float64 { return float64(c.Accel.PEs) }},
+		{"raw_width", func(c *Candidate) float64 { return float64(c.Accel.Width) }},
+		{"raw_simd", func(c *Candidate) float64 { return float64(c.Accel.SIMDLanes) }},
+		{"raw_rf_kb", func(c *Candidate) float64 { return float64(c.Accel.RFKB) }},
+		{"raw_l2_kb", func(c *Candidate) float64 { return float64(c.Accel.L2KB) }},
+		{"raw_bw", func(c *Candidate) float64 { return float64(c.Accel.NoCBW) }},
+		{"raw_outer_unroll", func(c *Candidate) float64 { return float64(c.Sched.OuterUnroll) }},
+		{"raw_inner_unroll", func(c *Candidate) float64 { return float64(c.Sched.InnerUnroll) }},
 	}
 	for i, d := range workload.AllDims {
 		i, d := i, d
 		fs = append(fs,
-			Feature{"raw_t2_" + d.String(), func(p Point) float64 { return float64(p.Sched.T2[i]) }},
-			Feature{"raw_t1_" + d.String(), func(p Point) float64 { return float64(p.Sched.T1[i]) }},
-			Feature{"raw_pos_outer_" + d.String(), func(p Point) float64 {
-				return float64(orderPosition(p.Sched.OuterOrder, d))
+			Feature{"raw_t2_" + d.String(), func(c *Candidate) float64 { return float64(c.Sched.T2[i]) }},
+			Feature{"raw_t1_" + d.String(), func(c *Candidate) float64 { return float64(c.Sched.T1[i]) }},
+			Feature{"raw_pos_outer_" + d.String(), func(c *Candidate) float64 {
+				return float64(orderPosition(c.Sched.OuterOrder, d))
 			}},
-			Feature{"raw_pos_inner_" + d.String(), func(p Point) float64 {
-				return float64(orderPosition(p.Sched.InnerOrder, d))
+			Feature{"raw_pos_inner_" + d.String(), func(c *Candidate) float64 {
+				return float64(orderPosition(c.Sched.InnerOrder, d))
 			}},
 		)
 	}
@@ -178,15 +212,15 @@ func orderPosition(order [workload.NumDims]workload.Dim, d workload.Dim) int {
 // only the accelerator (software is re-optimized per hardware sample).
 func HardwareFeatures() []Feature {
 	return []Feature{
-		{"simd_lanes", func(p Point) float64 { return float64(p.Accel.SIMDLanes) }},
-		{"onchip_bandwidth", func(p Point) float64 { return float64(p.Accel.NoCBW) }},
-		{"total_pes", func(p Point) float64 { return float64(p.Accel.PEs) }},
-		{"pe_array_width", func(p Point) float64 { return float64(p.Accel.Width) }},
-		{"pe_array_height", func(p Point) float64 { return float64(p.Accel.Height()) }},
-		{"total_onchip_sram", func(p Point) float64 { return float64(p.Accel.RFKB + p.Accel.L2KB) }},
-		{"peak_macs", func(p Point) float64 { return lg(float64(p.Accel.PEs * p.Accel.SIMDLanes)) }},
-		{"area", func(p Point) float64 { return p.Accel.AreaMM2() }},
-		{"peak_power", func(p Point) float64 { return p.Accel.PeakPowerMW() }},
+		{"simd_lanes", func(c *Candidate) float64 { return float64(c.Accel.SIMDLanes) }},
+		{"onchip_bandwidth", func(c *Candidate) float64 { return float64(c.Accel.NoCBW) }},
+		{"total_pes", func(c *Candidate) float64 { return float64(c.Accel.PEs) }},
+		{"pe_array_width", func(c *Candidate) float64 { return float64(c.Accel.Width) }},
+		{"pe_array_height", func(c *Candidate) float64 { return float64(c.Accel.Height()) }},
+		{"total_onchip_sram", func(c *Candidate) float64 { return float64(c.Accel.RFKB + c.Accel.L2KB) }},
+		{"peak_macs", func(c *Candidate) float64 { return lg(float64(c.Accel.PEs * c.Accel.SIMDLanes)) }},
+		{"area", func(c *Candidate) float64 { return c.Accel.AreaMM2() }},
+		{"peak_power", func(c *Candidate) float64 { return c.Accel.PeakPowerMW() }},
 	}
 }
 
@@ -218,12 +252,12 @@ func FeaturesFor(mode FeatureMode, hardware bool) []Feature {
 }
 
 // Transform applies the feature set to a point, producing the surrogate's
-// input vector.
+// input vector. It is the one-shot form of the per-layer path, where a
+// proposer reuses its Candidates and feature rows across suggestions.
 func Transform(fs []Feature, p Point) []float64 {
 	out := make([]float64, len(fs))
-	for i, f := range fs {
-		out[i] = f.Fn(p)
-	}
+	c := &Candidate{Point: p}
+	c.TransformInto(out, fs)
 	return out
 }
 

@@ -41,7 +41,7 @@ func TestSoftwareFeaturesFiniteAndStable(t *testing.T) {
 func TestPEUtilizationRange(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		p := testPoint(seed)
-		u := peUtilization(p)
+		u := peUtilization(&Candidate{Point: p})
 		if u <= 0 || u > 1 {
 			t.Fatalf("utilization %v out of (0,1] at seed %d", u, seed)
 		}
@@ -65,7 +65,7 @@ func TestPEUtilizationPerfectCase(t *testing.T) {
 	s.InnerOrder = sched.CanonicalOrder()
 	s.OuterUnroll = workload.DimK
 	s.InnerUnroll = workload.DimC
-	u := peUtilization(Point{Accel: a, Sched: s, Layer: l})
+	u := peUtilization(&Candidate{Point: Point{Accel: a, Sched: s, Layer: l}})
 	if math.Abs(u-1) > 1e-12 {
 		t.Fatalf("perfect mapping utilization = %v, want 1", u)
 	}
@@ -98,7 +98,7 @@ func TestFeaturesForModes(t *testing.T) {
 	// Hardware features must not touch the schedule (zero value is fine).
 	p := Point{Accel: hw.EyerissEdge().Accel}
 	for _, f := range hwF {
-		x := f.Fn(p)
+		x := f.Fn(&Candidate{Point: p})
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			t.Fatalf("hardware feature %s not schedule-independent", f.Name)
 		}

@@ -148,7 +148,9 @@ func (h *spotlightHW) Observe(a hw.Accel, objective float64, err error) {
 	h.dabo.Observe(f, objective)
 }
 
-// NewSW implements Strategy.
+// NewSW implements Strategy. The proposer builds everything its layer
+// search reuses up front: one schedule sampler per constraint, the
+// candidate batch, and one flat feature matrix.
 func (s *Spotlight) NewSW(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workload.Layer) SWProposer {
 	constraints := []sched.Constraint{cfg.SWConstraint}
 	if s.FixedDataflows {
@@ -157,14 +159,25 @@ func (s *Spotlight) NewSW(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workload.
 			constraints = append(constraints, sched.SpotlightF(df))
 		}
 	}
+	samplers := make([]sched.Sampler, len(constraints))
+	for i, c := range constraints {
+		samplers[i] = c.Sampler(l, a.RFBytesPerPE(), a.L2Bytes())
+	}
+	features := FeaturesFor(s.Mode, false)
+	batch, d := s.batch(), len(features)
 	sw := &spotlightSW{
-		dabo:        NewDABO(s.kernel(), rng, WithKappa(s.kappa()), WithTracer(cfg.Tracer, "sw")),
-		features:    FeaturesFor(s.Mode, false),
-		constraints: constraints,
-		accel:       a,
-		layer:       l,
-		batch:       s.batch(),
-		rng:         rng,
+		dabo:     NewDABO(s.kernel(), rng, WithKappa(s.kappa()), WithTracer(cfg.Tracer, "sw")),
+		features: features,
+		samplers: samplers,
+		rng:      rng,
+		cands:    make([]sched.Schedule, batch),
+		rows:     make([][]float64, batch),
+		cand:     Candidate{Point: Point{Accel: a, Layer: l}},
+		row:      make([]float64, d),
+	}
+	flat := make([]float64, batch*d)
+	for i := range sw.rows {
+		sw.rows[i] = flat[i*d : (i+1)*d : (i+1)*d]
 	}
 	s.mu.Lock()
 	s.lastSW = sw
@@ -173,25 +186,34 @@ func (s *Spotlight) NewSW(cfg RunConfig, rng *rand.Rand, a hw.Accel, l workload.
 }
 
 type spotlightSW struct {
-	dabo        *DABO
-	features    []Feature
-	constraints []sched.Constraint
-	accel       hw.Accel
-	layer       workload.Layer
-	batch       int
-	rng         *rand.Rand
+	dabo     *DABO
+	features []Feature
+	samplers []sched.Sampler
+	rng      *rand.Rand
+	// cands and rows are the candidate batch and its feature matrix,
+	// overwritten by every Suggest.
+	cands []sched.Schedule
+	rows  [][]float64
+	// cand is the point being transformed, its accelerator and layer
+	// fixed for the search; row is Observe's feature vector (DABO copies
+	// what it keeps).
+	cand Candidate
+	row  []float64
 }
 
+// Suggest draws a batch of candidates and lets daBO pick one. While daBO
+// picks at random it reads no features, so none are computed; feature
+// transforms draw nothing from the RNG, so the draw order is unchanged.
 func (w *spotlightSW) Suggest() sched.Schedule {
-	cands := make([]sched.Schedule, w.batch)
-	feats := make([][]float64, w.batch)
-	for i := range cands {
-		c := w.constraints[w.rng.Intn(len(w.constraints))]
-		cands[i] = c.Random(w.rng, w.layer, w.accel.RFBytesPerPE(), w.accel.L2Bytes())
-		feats[i] = Transform(w.features, Point{Accel: w.accel, Sched: cands[i], Layer: w.layer})
+	rank := !w.dabo.picksAtRandom()
+	for i := range w.cands {
+		w.cands[i] = w.samplers[w.rng.Intn(len(w.samplers))].Draw(w.rng)
+		if rank {
+			w.cand.Sched = w.cands[i]
+			w.cand.TransformInto(w.rows[i], w.features)
+		}
 	}
-	idx := w.dabo.SuggestIndex(feats)
-	return cands[idx]
+	return w.cands[w.dabo.SuggestIndex(w.rows)]
 }
 
 // SetSpan implements SpanCarrier by forwarding to the embedded daBO, so
@@ -199,12 +221,13 @@ func (w *spotlightSW) Suggest() sched.Schedule {
 func (w *spotlightSW) SetSpan(sp *obs.Span) { w.dabo.SetSpan(sp) }
 
 func (w *spotlightSW) Observe(s sched.Schedule, objective float64, err error) {
-	f := Transform(w.features, Point{Accel: w.accel, Sched: s, Layer: w.layer})
+	w.cand.Sched = s
+	w.cand.TransformInto(w.row, w.features)
 	if InvalidObservation(objective, err) {
-		w.dabo.ObserveInvalid(f)
+		w.dabo.ObserveInvalid(w.row)
 		return
 	}
-	w.dabo.Observe(f, objective)
+	w.dabo.Observe(w.row, objective)
 }
 
 // LastSWImportance computes the permutation importance of each software

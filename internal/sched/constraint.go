@@ -37,12 +37,9 @@ func Free() Constraint {
 	return Constraint{Name: "free"}
 }
 
-// allDimsSlice returns the seven dims as a slice.
-func allDimsSlice() []workload.Dim {
-	out := make([]workload.Dim, workload.NumDims)
-	copy(out, workload.AllDims[:])
-	return out
-}
+// everyDim lists the seven dims, shared read-only as the unroll choices
+// of an unconstrained level.
+var everyDim = workload.AllDims[:]
 
 // EyerissLike returns the rigid row-stationary-style dataflow attributed
 // to Eyeriss in the paper: X/Y spatial unrolling with a weight-stationary
@@ -131,7 +128,7 @@ func (c Constraint) WithTilingSearch() Constraint {
 // outerChoices returns the effective outer-unroll choices.
 func (c Constraint) outerChoices() []workload.Dim {
 	if len(c.OuterUnrollChoices) == 0 {
-		return allDimsSlice()
+		return everyDim
 	}
 	return c.OuterUnrollChoices
 }
@@ -139,7 +136,7 @@ func (c Constraint) outerChoices() []workload.Dim {
 // innerChoices returns the effective inner-unroll choices.
 func (c Constraint) innerChoices() []workload.Dim {
 	if len(c.InnerUnrollChoices) == 0 {
-		return allDimsSlice()
+		return everyDim
 	}
 	return c.InnerUnrollChoices
 }
@@ -163,43 +160,87 @@ func (c Constraint) tilable(d workload.Dim) bool {
 // rigid-dataflow baselines produce mostly valid schedules, mirroring how
 // hand-designed accelerators ship with working tilings. Searchable
 // dimensions draw independent divisor pairs, which may or may not fit —
-// those are the invalid regions the cost model rejects.
+// those are the invalid regions the cost model rejects. Random is a
+// one-shot Sampler; a search drawing many schedules for one layer builds
+// the Sampler once instead.
 func (c Constraint) Random(rng *rand.Rand, l workload.Layer, rfBytesPerPE, l2Bytes int64) Schedule {
-	var s Schedule
-	s.OuterUnroll = c.outerChoices()[rng.Intn(len(c.outerChoices()))]
-	s.InnerUnroll = c.innerChoices()[rng.Intn(len(c.innerChoices()))]
-	s.OuterOrder = orderFrom(c.FixedOuterOrder, rng)
-	s.InnerOrder = orderFrom(c.FixedInnerOrder, rng)
+	s := c.Sampler(l, rfBytesPerPE, l2Bytes)
+	return s.Draw(rng)
+}
 
-	// Heuristically fit the non-searchable dimensions (none under Free),
-	// then resample the searchable ones uniformly over divisor pairs.
+// Sampler draws random schedules from one constraint's space for one
+// layer and one pair of RF/L2 capacities. Everything a draw needs that
+// does not depend on the RNG is resolved when the sampler is built: the
+// effective unroll choices, the fixed loop orders, the FitTiles tiles of
+// the non-searched dimensions, and each searched dimension's divisor
+// table. Draw is the one place the order of a schedule's RNG draws is
+// written.
+type Sampler struct {
+	// base holds the non-searched tiles and the fixed loop orders; a
+	// free order starts from the canonical one and is shuffled per draw.
+	base                       Schedule
+	outer, inner               []workload.Dim
+	shuffleOuter, shuffleInner bool
+	// tiles[i] is dimension i's tiling table, nil when it is not searched.
+	tiles [workload.NumDims]*tilingTable
+}
+
+// Sampler builds the schedule sampler for layer l under c. Its tables are
+// memoized per extent and shared, so building one does no heap work once
+// the layer's extents have been seen.
+func (c Constraint) Sampler(l workload.Layer, rfBytesPerPE, l2Bytes int64) Sampler {
+	s := Sampler{outer: c.outerChoices(), inner: c.innerChoices()}
+	s.base.OuterOrder, s.shuffleOuter = startOrder(c.FixedOuterOrder)
+	s.base.InnerOrder, s.shuffleInner = startOrder(c.FixedInnerOrder)
+	// Heuristically fit the non-searchable dimensions (none under Free);
+	// Draw resamples the searchable ones uniformly over divisor pairs.
 	if c.TilableDims != nil {
-		s.T1, s.T2 = FitTiles(l, rfBytesPerPE, l2Bytes)
+		s.base.T1, s.base.T2 = FitTiles(l, rfBytesPerPE, l2Bytes)
 	}
 	for i, d := range workload.AllDims {
-		if !c.tilable(d) {
-			continue
+		if c.tilable(d) {
+			s.tiles[i] = tilingTableFor(l.Size(d))
 		}
-		size := l.Size(d)
-		divs := Divisors(size)
-		t2v := divs[rng.Intn(len(divs))]
-		subDivs := Divisors(t2v)
-		t1v := subDivs[rng.Intn(len(subDivs))]
-		s.T2[i], s.T1[i] = t2v, t1v
 	}
 	return s
 }
 
-// orderFrom returns the fixed order if given, else a random permutation.
-func orderFrom(fixed []workload.Dim, rng *rand.Rand) [workload.NumDims]workload.Dim {
-	var out [workload.NumDims]workload.Dim
-	if len(fixed) == workload.NumDims {
-		copy(out[:], fixed)
-		return out
+// Draw samples one schedule: the unroll dimensions, then any free loop
+// orders, then an L2 tile and an RF tile under it for each searched
+// dimension in AllDims order.
+func (s *Sampler) Draw(rng *rand.Rand) (out Schedule) {
+	out = s.base
+	out.OuterUnroll = s.outer[rng.Intn(len(s.outer))]
+	out.InnerUnroll = s.inner[rng.Intn(len(s.inner))]
+	if s.shuffleOuter {
+		shuffleOrder(&out.OuterOrder, rng)
 	}
-	copy(out[:], workload.AllDims[:])
-	rng.Shuffle(workload.NumDims, func(i, j int) { out[i], out[j] = out[j], out[i] })
+	if s.shuffleInner {
+		shuffleOrder(&out.InnerOrder, rng)
+	}
+	for i, t := range &s.tiles {
+		if t == nil {
+			continue
+		}
+		j := rng.Intn(len(t.divs))
+		sub := t.sub[j]
+		out.T2[i], out.T1[i] = t.divs[j], sub[rng.Intn(len(sub))]
+	}
 	return out
+}
+
+// startOrder returns the fixed order if one is given, else the canonical
+// order and true: a free order is a uniform shuffle of it.
+func startOrder(fixed []workload.Dim) (order [workload.NumDims]workload.Dim, free bool) {
+	if len(fixed) == workload.NumDims {
+		copy(order[:], fixed)
+		return order, false
+	}
+	return workload.AllDims, true
+}
+
+func shuffleOrder(order *[workload.NumDims]workload.Dim, rng *rand.Rand) {
+	rng.Shuffle(workload.NumDims, func(i, j int) { order[i], order[j] = order[j], order[i] })
 }
 
 // Neighbor returns a schedule one mutation away from s within the

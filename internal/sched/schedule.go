@@ -173,6 +173,38 @@ var (
 	divisorCache = map[int][]int{}
 )
 
+// tilingTable lists one extent's (T2, T1) tiling choices: its divisors,
+// and for each divisor its own divisors.
+type tilingTable struct {
+	divs []int   // L2 tile choices: Divisors(n)
+	sub  [][]int // sub[j] = Divisors(divs[j]), the RF tile choices under divs[j]
+}
+
+// tilingTableFor returns the memoized tiling table of extent n; callers
+// must not mutate it.
+func tilingTableFor(n int) *tilingTable {
+	tilingMu.RLock()
+	t, ok := tilingCache[n]
+	tilingMu.RUnlock()
+	if ok {
+		return t
+	}
+	t = &tilingTable{divs: Divisors(n)}
+	t.sub = make([][]int, len(t.divs))
+	for j, d := range t.divs {
+		t.sub[j] = Divisors(d)
+	}
+	tilingMu.Lock()
+	tilingCache[n] = t
+	tilingMu.Unlock()
+	return t
+}
+
+var (
+	tilingMu    sync.RWMutex
+	tilingCache = map[int]*tilingTable{}
+)
+
 // CanonicalOrder is the identity loop order [N K C R S X Y].
 func CanonicalOrder() [workload.NumDims]workload.Dim {
 	return workload.AllDims

@@ -63,20 +63,30 @@ const (
 // NewSW implements core.Strategy: enumerate the three dataflows with
 // template tiling, in order. No learning happens at this level.
 func (*ConfuciuX) NewSW(cfg core.RunConfig, rng *rand.Rand, a hw.Accel, l workload.Layer) core.SWProposer {
-	return &fixedDataflowSW{layer: l, rng: rng, flows: sched.FixedDataflows()}
+	return &fixedDataflowSW{rng: rng, flows: templateSamplers(l)}
+}
+
+// templateSamplers returns a sampler per fixed dataflow for layer l, with
+// the template tiling fit to the reference buffers.
+func templateSamplers(l workload.Layer) []sched.Sampler {
+	flows := sched.FixedDataflows()
+	out := make([]sched.Sampler, len(flows))
+	for i, f := range flows {
+		out[i] = f.Sampler(l, refRFBytesPerPE, refL2Bytes)
+	}
+	return out
 }
 
 type fixedDataflowSW struct {
-	layer workload.Layer
 	rng   *rand.Rand
-	flows []sched.Constraint
+	flows []sched.Sampler
 	next  int
 }
 
 func (f *fixedDataflowSW) Suggest() sched.Schedule {
-	flow := f.flows[f.next%len(f.flows)]
+	flow := &f.flows[f.next%len(f.flows)]
 	f.next++
-	return flow.Random(f.rng, f.layer, refRFBytesPerPE, refL2Bytes)
+	return flow.Draw(f.rng)
 }
 
 func (*fixedDataflowSW) Observe(sched.Schedule, float64, error) {}

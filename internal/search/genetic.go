@@ -134,8 +134,8 @@ func (g *Genetic) NewSW(cfg core.RunConfig, rng *rand.Rand, a hw.Accel, l worklo
 	return &gaSW{
 		pop:      population[sched.Schedule]{capacity: g.popSize(), rng: rng},
 		c:        cfg.SWConstraint,
+		sampler:  cfg.SWConstraint.Sampler(l, a.RFBytesPerPE(), a.L2Bytes()),
 		rng:      rng,
-		accel:    a,
 		layer:    l,
 		mutation: g.mutationRate(),
 	}
@@ -144,15 +144,15 @@ func (g *Genetic) NewSW(cfg core.RunConfig, rng *rand.Rand, a hw.Accel, l worklo
 type gaSW struct {
 	pop      population[sched.Schedule]
 	c        sched.Constraint
+	sampler  sched.Sampler
 	rng      *rand.Rand
-	accel    hw.Accel
 	layer    workload.Layer
 	mutation float64
 }
 
 func (w *gaSW) Suggest() sched.Schedule {
 	if !w.pop.full() {
-		return w.c.Random(w.rng, w.layer, w.accel.RFBytesPerPE(), w.accel.L2Bytes())
+		return w.sampler.Draw(w.rng)
 	}
 	child := sched.Crossover(w.rng, w.pop.tournament(), w.pop.tournament())
 	child = w.c.Neighbor(w.rng, child, w.layer)

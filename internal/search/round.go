@@ -16,7 +16,7 @@ const feedbackFreeRound = 1 << 20
 
 // RoundSize implements core.RoundProposer: random sampling consumes
 // only its own RNG, so the whole budget is one feedback-free round.
-func (randomSW) RoundSize() int { return feedbackFreeRound }
+func (*randomSW) RoundSize() int { return feedbackFreeRound }
 
 // RoundSize implements core.RoundProposer: the dataflow rotation
 // advances on Suggest alone and Observe is a no-op, so ConfuciuX's
