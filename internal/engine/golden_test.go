@@ -98,3 +98,84 @@ func TestSearchDigestsGolden(t *testing.T) {
 		t.Errorf("search digests changed:\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
 	}
 }
+
+// csvRuns are the experiment artifacts whose bytes are pinned: the
+// same reduced-scale figures the CLI writes with
+//
+//	experiments -fig N -models MobileNetV2 -hw 4 -sw 6 -trials 1 -eval E
+//
+// fig6 on both the analytical and the trace-driven backend, fig10 on
+// the analytical one. fig10's wall-clock elapsed_s column is dropped
+// before hashing.
+var csvRuns = []struct {
+	step, eval string
+}{
+	{"fig6", "maestro"}, {"fig6", "sim"}, {"fig10", "maestro"},
+}
+
+// TestExperimentCSVDigestsGolden pins the SHA-256 of each csvRuns
+// artifact, the absolute counterpart of the CLI smoke gates that compare
+// two runs of one build. Update only for an intended change of results,
+// with the reason stated in CHANGES.md:
+//
+//	go test ./internal/engine -run ExperimentCSVDigestsGolden -update-digests
+func TestExperimentCSVDigestsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fig6 on sim takes seconds")
+	}
+	var got bytes.Buffer
+	for _, r := range csvRuns {
+		spec := JobSpec{
+			Kind:      KindExperiment,
+			Steps:     []string{r.step},
+			Models:    []string{"MobileNetV2"},
+			HWSamples: 4,
+			SWSamples: 6,
+			Trials:    1,
+			Seed:      1,
+			Eval:      r.eval,
+		}
+		results, err := RunExperiments(context.Background(), spec, ExperimentOptions{
+			Eval: testPipeline(t, r.eval),
+		})
+		if err != nil {
+			t.Fatalf("%s on %s: %v", r.step, r.eval, err)
+		}
+		for _, a := range results[0].Artifacts {
+			fmt.Fprintf(&got, "%s eval=%s %s\n", a.Name, r.eval, csvDigest(a.Data))
+		}
+	}
+	path := filepath.Join("testdata", "csv_digests.golden")
+	if *updateDigests {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update-digests)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("experiment CSV digests changed:\ngot:\n%s\nwant:\n%s", got.Bytes(), want)
+	}
+}
+
+// csvDigest is the SHA-256 of a CSV with any elapsed_s column removed.
+func csvDigest(data []byte) string {
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	drop := -1
+	for i, name := range strings.Split(lines[0], ",") {
+		if name == "elapsed_s" {
+			drop = i
+		}
+	}
+	h := sha256.New()
+	for _, line := range lines {
+		cols := strings.Split(line, ",")
+		if drop >= 0 {
+			cols = append(cols[:drop:drop], cols[drop+1:]...)
+		}
+		fmt.Fprintln(h, strings.Join(cols, ","))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
