@@ -308,25 +308,15 @@ func BenchmarkMaestroEvaluateBatch(b *testing.B) {
 // BenchmarkTransformerLayerSearch is the ROADMAP item 5 end-to-end
 // measurement: one full per-layer software search over the Transformer's
 // layers (the workload whose GEMM-heavy shapes made per-call evaluation
-// the bottleneck), batched versus sequential candidate evaluation.
-// Results are bit-identical; only throughput differs.
+// the bottleneck).
 func BenchmarkTransformerLayerSearch(b *testing.B) {
-	for _, nobatch := range []bool{false, true} {
-		name := "batched"
-		if nobatch {
-			name = "sequential"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := benchCfg("Transformer")
-			cfg.HWSamples = 2
-			cfg.SWSamples = 64
-			cfg.DisableBatch = nobatch
-			for i := 0; i < b.N; i++ {
-				cfg.Seed = int64(i + 1)
-				_, err := exp.Fig6(cfg)
-				tolerate(b, err)
-			}
-		})
+	cfg := benchCfg("Transformer")
+	cfg.HWSamples = 2
+	cfg.SWSamples = 64
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = int64(i + 1)
+		_, err := exp.Fig6(cfg)
+		tolerate(b, err)
 	}
 }
 

@@ -170,13 +170,24 @@ func summarize(r io.Reader, w io.Writer) error {
 	backendPaths := map[string]int{}
 	persistCounts := map[string]int{}
 	var batchCalls, batchedItems int
-	var tool string
-	var budgeted, completed int
 	type improvement struct {
 		sample int
 		best   float64
 	}
-	var conv []improvement
+	// One record per run.start/run.end pair. A run's events are tied to
+	// it through the span tree (incumbent and hw.propose hang off a trial
+	// span whose parent is the run span), so runs that interleave, like
+	// parallel trials, stay apart; a spanless trace falls back to the
+	// most recently started open run.
+	type runRec struct {
+		span                int64 // run span id, 0 in a spanless trace
+		tool                string
+		budgeted, completed int
+		ended               bool
+		proposals           int
+		conv                []improvement
+	}
+	var runs []*runRec
 	// Span tree, reconstructed from span.start/span.end pairs. childDur
 	// accumulates the cumulative time of direct children so self time is
 	// cum − childDur without a second pass.
@@ -200,6 +211,34 @@ func summarize(r io.Reader, w io.Writer) error {
 		parent  int64
 	}
 	var evals []evalRec
+	// runOf returns the run an event belongs to: the run whose span is
+	// the event's parent (run.end) or grandparent (trial events), else the
+	// latest open run. Events before any run.start get a run-less record.
+	bySpan := func(id int64) *runRec {
+		for _, r := range runs {
+			if id != 0 && r.span == id {
+				return r
+			}
+		}
+		return nil
+	}
+	runOf := func(e obs.Event) *runRec {
+		if r := bySpan(e.Parent); r != nil {
+			return r
+		}
+		if s := spans[e.Parent]; s != nil {
+			if r := bySpan(s.parent); r != nil {
+				return r
+			}
+		}
+		for i := len(runs) - 1; i >= 0; i-- {
+			if !runs[i].ended {
+				return runs[i]
+			}
+		}
+		runs = append(runs, &runRec{})
+		return runs[len(runs)-1]
+	}
 	for _, e := range events {
 		counts[e.Type]++
 		// span.end durations are reported by the span section below;
@@ -211,11 +250,15 @@ func summarize(r io.Reader, w io.Writer) error {
 		}
 		switch e.Type {
 		case obs.RunStart:
-			tool, budgeted = e.Detail, e.N
+			runs = append(runs, &runRec{span: e.Parent, tool: e.Detail, budgeted: e.N})
 		case obs.RunEnd:
-			completed = e.N
+			r := runOf(e)
+			r.completed, r.ended = e.N, true
+		case obs.HWPropose:
+			runOf(e).proposals++
 		case obs.Incumbent:
-			conv = append(conv, improvement{sample: e.Sample, best: e.Value})
+			r := runOf(e)
+			r.conv = append(r.conv, improvement{sample: e.Sample, best: e.Value})
 		case obs.EvalDone:
 			evalOutcomes[e.Detail]++
 			if e.DurMS > 0 {
@@ -252,8 +295,10 @@ func summarize(r io.Reader, w io.Writer) error {
 
 	span := events[len(events)-1].TMS - events[0].TMS
 	fmt.Fprintf(w, "trace: %d events spanning %.1f ms\n", len(events), span)
-	if tool != "" {
-		fmt.Fprintf(w, "run: %s, %d hardware samples budgeted, %d completed\n", tool, budgeted, completed)
+	for _, r := range runs {
+		if r.tool != "" {
+			fmt.Fprintf(w, "run: %s, %d hardware samples budgeted, %d completed\n", r.tool, r.budgeted, r.completed)
+		}
 	}
 
 	fmt.Fprintf(w, "\nphase time (sum of event durations):\n")
@@ -277,11 +322,18 @@ func summarize(r io.Reader, w io.Writer) error {
 		fmt.Fprintf(w, "  (no events carry durations)\n")
 	}
 
-	if len(conv) > 0 {
-		fmt.Fprintf(w, "\nconvergence (%d of %d proposals improved the incumbent):\n",
-			len(conv), counts[obs.HWPropose])
+	for i, r := range runs {
+		if len(r.conv) == 0 {
+			continue
+		}
+		of := ""
+		if len(runs) > 1 {
+			of = fmt.Sprintf(" of run %d, %s", i+1, r.tool)
+		}
+		fmt.Fprintf(w, "\nconvergence%s (%d of %d proposals improved the incumbent):\n",
+			of, len(r.conv), r.proposals)
 		fmt.Fprintf(w, "  sample        best\n")
-		for _, c := range conv {
+		for _, c := range r.conv {
 			fmt.Fprintf(w, "  %6d  %10.6g\n", c.sample, c.best)
 		}
 	}
@@ -302,7 +354,7 @@ func summarize(r io.Reader, w io.Writer) error {
 		fmt.Fprintf(w, "evals: %s\n", formatCounts(evalOutcomes))
 	}
 	if batchCalls > 0 {
-		fmt.Fprintf(w, "batches: %d eval.batch calls covering %d evaluations (mean batch size %.1f)\n",
+		fmt.Fprintf(w, "batches: %d multi-item eval rounds covering %d evaluations (mean %.1f per round; rounds of one not counted)\n",
 			batchCalls, batchedItems, float64(batchedItems)/float64(batchCalls))
 	}
 	if len(backendPaths) > 0 {

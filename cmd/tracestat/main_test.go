@@ -34,6 +34,55 @@ func TestSummarizeGolden(t *testing.T) {
 	}
 }
 
+// TestSummarizeMultiRun pins the report for a trace holding three runs,
+// the last two interleaved as parallel trials are: one run: line per
+// run.start/run.end pair, and convergence grouped per run through the
+// span tree. Regenerate like mini.golden, from multirun.jsonl.
+func TestSummarizeMultiRun(t *testing.T) {
+	trace, err := os.ReadFile(filepath.Join("testdata", "multirun.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "multirun.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := summarize(bytes.NewReader(trace), &got); err != nil {
+		t.Fatalf("summarize: %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("summary differs from golden file:\n--- got ---\n%s--- want ---\n%s", got.Bytes(), want)
+	}
+}
+
+// TestSummarizeSpanlessRunsInOrder: without spans, run events are
+// grouped by order, each under the run most recently started.
+func TestSummarizeSpanlessRunsInOrder(t *testing.T) {
+	trace := `{"seq":1,"t_ms":0,"type":"run.start","detail":"Spotlight","n":1}
+{"seq":2,"t_ms":1,"type":"hw.propose","sample":1,"detail":"pe=4x4 l2=256KiB"}
+{"seq":3,"t_ms":2,"type":"incumbent","sample":1,"value":5}
+{"seq":4,"t_ms":3,"type":"run.end","n":1}
+{"seq":5,"t_ms":4,"type":"run.start","detail":"HASCO","n":1}
+{"seq":6,"t_ms":5,"type":"hw.propose","sample":1,"detail":"pe=4x4 l2=256KiB"}
+{"seq":7,"t_ms":6,"type":"incumbent","sample":1,"value":9}
+{"seq":8,"t_ms":7,"type":"run.end","n":1}
+`
+	var got bytes.Buffer
+	if err := summarize(strings.NewReader(trace), &got); err != nil {
+		t.Fatalf("summarize: %v", err)
+	}
+	for _, want := range []string{
+		"run: Spotlight, 1 hardware samples budgeted, 1 completed\nrun: HASCO, 1 hardware samples budgeted, 1 completed\n",
+		"convergence of run 1, Spotlight (1 of 1 proposals improved the incumbent):\n  sample        best\n       1           5\n",
+		"convergence of run 2, HASCO (1 of 1 proposals improved the incumbent):\n  sample        best\n       1           9\n",
+	} {
+		if !strings.Contains(got.String(), want) {
+			t.Errorf("report lacks %q:\n%s", want, got.String())
+		}
+	}
+}
+
 func TestCheckAcceptsGoldenTrace(t *testing.T) {
 	trace, err := os.ReadFile(filepath.Join("testdata", "mini.jsonl"))
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"spotlight/internal/hw"
@@ -51,16 +52,6 @@ type RunConfig struct {
 	// safe for concurrent Evaluate calls when Workers != 1 (the bundled
 	// analytical models and the sim backend all are).
 	Workers int
-
-	// DisableBatch forces the per-layer software search onto the
-	// one-Evaluate-per-sample path even when the proposer and evaluator
-	// both support round batching (RoundProposer / BatchEvaluator). The
-	// batched and sequential paths produce bit-identical Histories by
-	// contract, so this switch exists for A/B verification of that
-	// invariant (and for bisecting regressions), not for correctness.
-	// Like Workers and Tracer, it is excluded from the checkpoint
-	// fingerprint: batched and unbatched runs share checkpoints.
-	DisableBatch bool
 
 	// Tracer, when non-nil, receives structured trace events for every
 	// phase of the nested search: run start/end, hardware proposals,
@@ -491,88 +482,39 @@ func OptimizeLayer(cfg RunConfig, strat Strategy, rng *rand.Rand, accel hw.Accel
 	return lr
 }
 
-// runLayerSearch drives one software proposer through its sample budget,
-// stopping early (with the best result so far) when ctx is canceled. A
-// cost whose fields are not all finite is classified invalid rather than
-// allowed to poison the proposer's statistics or become a NaN "best".
-//
-// Proposers that declare feedback-independent rounds (RoundProposer)
-// take the batched path: each round's suggestions are collected up
-// front and evaluated in one EvaluateBatch call, then observed in
-// suggestion order. Because a round by definition draws the same RNG
-// stream whether or not Observe calls are interleaved, and because
-// EvaluateBatch is bit-identical to per-item Evaluate, the two paths
-// produce the same LayerResult bit for bit — cfg.DisableBatch exists to
-// verify exactly that.
+// runLayerSearch drives one software proposer through its sample budget
+// in evaluation rounds, stopping early (with the best result so far)
+// when ctx is canceled. A RoundProposer sizes each round (capped at the
+// remaining budget); every other proposer runs rounds of 1, the paper's
+// sample-evaluate-observe loop. A round's suggestions are drawn up
+// front, costed in one EvaluateRound call, and observed in suggestion
+// order. A round by definition draws the same RNG stream whether or not
+// Observe calls are interleaved, so the round size never changes a
+// result. Cancellation is checked between rounds; a canceled layer
+// search is discarded by the caller either way. A cost whose fields are
+// not all finite is classified invalid rather than allowed to poison
+// the proposer's statistics or become a NaN "best".
 func runLayerSearch(ctx context.Context, cfg RunConfig, sw SWProposer, accel hw.Accel,
 	layer workload.Layer, budget int, sp *obs.Span) LayerResult {
 
-	if rp, ok := sw.(RoundProposer); ok && !cfg.DisableBatch {
-		return runLayerSearchBatched(ctx, cfg, rp, accel, layer, budget, sp)
-	}
-
+	rp, _ := sw.(RoundProposer)
+	buf := roundBufs.Get().(*roundBuf)
+	defer buf.release()
 	best := LayerResult{Layer: layer}
 	bestObj := math.Inf(1)
-	for i := 0; i < budget; i++ {
-		if ctx.Err() != nil {
-			break
+	for done := 0; done < budget && ctx.Err() == nil; {
+		n := 1
+		if rp != nil {
+			n = max(rp.RoundSize(), 1)
 		}
-		s := sw.Suggest()
-		cost, err := EvaluateSpan(cfg.Eval, sp, accel, s, layer)
-		obj := math.Inf(1)
-		if err == nil {
-			obj = cfg.Objective.LayerCost(cost)
-		}
-		if err == nil && (!cost.Finite() || math.IsNaN(obj) || math.IsInf(obj, 0)) {
-			err = fmt.Errorf("%w: evaluator returned non-finite cost for layer %s",
-				maestro.ErrInvalid, layer.Name)
-		}
-		if err != nil {
-			sw.Observe(s, math.Inf(1), err)
-			continue
-		}
-		sw.Observe(s, obj, nil)
-		if obj < bestObj {
-			bestObj = obj
-			best.Schedule = s
-			best.Cost = cost
-			best.Valid = true
-		}
-	}
-	return best
-}
-
-// runLayerSearchBatched is runLayerSearch's round-at-a-time variant: per
-// round it drains RoundSize() suggestions (capped to the remaining
-// budget) into a scratch slice reused across rounds, evaluates them in
-// one EvaluateBatch call, and replays the per-sample feedback loop over
-// the results. Cancellation is checked between rounds; a canceled layer
-// search is discarded by the caller either way, so the coarser check
-// cannot change any completed run's output.
-func runLayerSearchBatched(ctx context.Context, cfg RunConfig, sw RoundProposer, accel hw.Accel,
-	layer workload.Layer, budget int, sp *obs.Span) LayerResult {
-
-	best := LayerResult{Layer: layer}
-	bestObj := math.Inf(1)
-	var ss []sched.Schedule
-	for done := 0; done < budget; {
-		if ctx.Err() != nil {
-			break
-		}
-		n := sw.RoundSize()
-		if n < 1 {
-			n = 1
-		}
-		if rem := budget - done; n > rem {
-			n = rem
-		}
-		ss = ss[:0]
-		for j := 0; j < n; j++ {
-			ss = append(ss, sw.Suggest())
-		}
-		costs, errs := EvaluateBatchSpan(cfg.Eval, sp, accel, ss, layer)
+		n = min(n, budget-done)
+		ss, costs, errs := buf.round(n)
 		for j := range ss {
-			s, cost, err := ss[j], costs[j], errs[j]
+			ss[j] = sw.Suggest()
+		}
+		EvaluateRound(cfg.Eval, sp, accel, ss, layer, costs, errs)
+		for j, s := range ss {
+			cost, err := costs[j], errs[j]
 			obj := math.Inf(1)
 			if err == nil {
 				obj = cfg.Objective.LayerCost(cost)
@@ -596,6 +538,32 @@ func runLayerSearchBatched(ctx context.Context, cfg RunConfig, sw RoundProposer,
 		done += n
 	}
 	return best
+}
+
+// roundBuf is the scratch a layer search reuses across its rounds.
+// Pooled, so a layer search in rounds of 1 allocates nothing for them.
+type roundBuf struct {
+	ss    []sched.Schedule
+	costs []maestro.Cost
+	errs  []error
+}
+
+var roundBufs = sync.Pool{New: func() any { return new(roundBuf) }}
+
+// round returns the buffers resized to n items.
+func (b *roundBuf) round(n int) ([]sched.Schedule, []maestro.Cost, []error) {
+	if cap(b.ss) < n {
+		b.ss = make([]sched.Schedule, n)
+		b.costs = make([]maestro.Cost, n)
+		b.errs = make([]error, n)
+	}
+	return b.ss[:n], b.costs[:n], b.errs[:n]
+}
+
+// release drops the last round's errors and returns b to the pool.
+func (b *roundBuf) release() {
+	clear(b.errs)
+	roundBufs.Put(b)
 }
 
 // OptimizeSoftware runs only the software half of the co-design on a

@@ -1,60 +1,6 @@
 package core
 
-import (
-	"spotlight/internal/hw"
-	"spotlight/internal/maestro"
-	"spotlight/internal/obs"
-	"spotlight/internal/sched"
-	"spotlight/internal/workload"
-)
-
-// SpanEvaluator is the optional span-threading extension of Evaluator:
-// an evaluator (or middleware stack) that can attribute the trace
-// events of one call — eval.done, cache hits, guard retries — to the
-// caller's current span. Eval pipelines are built once and shared (in
-// spotlightd, across every concurrent job), so causal context cannot
-// live in the pipeline; it flows per call, and events routed through a
-// span follow the span's tracer, which is what gives each spotlightd
-// job its own eval/cache telemetry off one shared pipeline.
-//
-// EvaluateSpan with a nil span must behave exactly like Evaluate. The
-// EvaluateSpan helper falls back to Evaluate for evaluators that do not
-// implement the interface, so callers thread spans unconditionally.
-type SpanEvaluator interface {
-	Evaluator
-	EvaluateSpan(sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error)
-}
-
-// SpanBatchEvaluator is SpanEvaluator's batch counterpart, with the
-// same contract relative to BatchEvaluator.
-type SpanBatchEvaluator interface {
-	Evaluator
-	EvaluateBatchSpan(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer) ([]maestro.Cost, []error)
-}
-
-// EvaluateSpan evaluates one schedule under sp when the evaluator
-// supports span threading, and otherwise falls back to plain Evaluate.
-// The fallback also covers sp == nil, so an untraced run takes the
-// exact pre-span code path.
-func EvaluateSpan(ev Evaluator, sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
-	if sp != nil {
-		if se, ok := ev.(SpanEvaluator); ok {
-			return se.EvaluateSpan(sp, a, s, l)
-		}
-	}
-	return ev.Evaluate(a, s, l)
-}
-
-// EvaluateBatchSpan is EvaluateSpan for whole rounds, falling back to
-// EvaluateBatch (which itself falls back to sequential Evaluate).
-func EvaluateBatchSpan(ev Evaluator, sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer) ([]maestro.Cost, []error) {
-	if sp != nil {
-		if se, ok := ev.(SpanBatchEvaluator); ok {
-			return se.EvaluateBatchSpan(sp, a, ss, l)
-		}
-	}
-	return EvaluateBatch(ev, a, ss, l)
-}
+import "spotlight/internal/obs"
 
 // SpanCarrier is implemented by proposers whose internal trace events
 // (DABO's dabo.fit/dabo.degraded) should be attributed to the caller's

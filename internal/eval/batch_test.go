@@ -7,13 +7,23 @@ import (
 	"testing"
 
 	"spotlight/internal/core"
+	"spotlight/internal/hw"
 	"spotlight/internal/maestro"
 	"spotlight/internal/obs"
 	"spotlight/internal/sched"
+	"spotlight/internal/workload"
 )
 
-// batchFromTriples groups the triples by (accel, layer) — the shape
-// EvaluateBatch requires — preserving order within each group.
+// evaluateRound runs one untraced round through ev into fresh result
+// slices.
+func evaluateRound(ev core.Evaluator, a hw.Accel, ss []sched.Schedule, l workload.Layer) ([]maestro.Cost, []error) {
+	costs, errs := make([]maestro.Cost, len(ss)), make([]error, len(ss))
+	core.EvaluateRound(ev, nil, a, ss, l, costs, errs)
+	return costs, errs
+}
+
+// batchGroup is the triples of one (accel, layer) pair — the shape a
+// round requires — in their original order.
 type batchGroup struct {
 	a  triple
 	ss []sched.Schedule
@@ -107,9 +117,10 @@ func TestPipelineBatchMatchesBareBackend(t *testing.T) {
 	}
 }
 
-// TestBatchTraceEvents: the trace layer emits one eval.done per batched
-// item plus one eval.batch carrying the batch size, and every event
-// passes the obs schema (what `tracestat -check` enforces).
+// TestBatchTraceEvents: the trace layer emits one eval.done per item of
+// a multi-item round plus one eval.batch carrying the round size, and
+// every event passes the obs schema (what `tracestat -check` enforces).
+// A round of one emits its eval.done alone.
 func TestBatchTraceEvents(t *testing.T) {
 	rec := &recordingTracer{}
 	p := MustFromSpec("maestro", SpecOptions{Tracer: rec})
@@ -135,10 +146,17 @@ func TestBatchTraceEvents(t *testing.T) {
 	if done != len(grp.ss) || batch != 1 {
 		t.Fatalf("got %d eval.done and %d eval.batch events, want %d and 1", done, batch, len(grp.ss))
 	}
+
+	// A round of one carries its duration on its eval.done instead.
+	rec.events = nil
+	p.EvaluateBatch(grp.a.a, grp.ss[:1], grp.a.l)
+	if len(rec.events) != 1 || rec.events[0].Type != obs.EvalDone {
+		t.Fatalf("round of one emitted %+v, want a single eval.done", rec.events)
+	}
 }
 
 // TestBatchFallbackForNonBatchBackend: a backend without EvaluateBatch
-// (the scriptable fake) still serves batches through the per-item
+// (the scriptable fake) still serves rounds through the per-item
 // fallback loop, preserving order and per-item outcomes.
 func TestBatchFallbackForNonBatchBackend(t *testing.T) {
 	var n int
@@ -175,18 +193,18 @@ func TestBatchFallbackForNonBatchBackend(t *testing.T) {
 }
 
 // TestBatchCacheTransientNotMemoized: a transient (non-ErrInvalid)
-// fault inside a batch is returned but withdrawn, exactly like the
-// sequential path — a later batch re-evaluates instead of reusing it.
+// fault inside a round is returned but withdrawn — a later round
+// re-evaluates instead of reusing it.
 func TestBatchCacheTransientNotMemoized(t *testing.T) {
 	fake := &fakeEval{fn: func() (maestro.Cost, error) { return maestro.Cost{}, errors.New("transient") }}
 	c := WithCache()(fake).(*Cache)
 	tr := randomTriples(21, 1)[0]
 	ss := []sched.Schedule{tr.s}
 
-	if _, errs := c.EvaluateBatch(tr.a, ss, tr.l); errs[0] == nil {
+	if _, errs := evaluateRound(c, tr.a, ss, tr.l); errs[0] == nil {
 		t.Fatal("fault swallowed")
 	}
-	if _, errs := c.EvaluateBatch(tr.a, ss, tr.l); errs[0] == nil {
+	if _, errs := evaluateRound(c, tr.a, ss, tr.l); errs[0] == nil {
 		t.Fatal("fault swallowed on retry")
 	}
 	if got := fake.calls.Load(); got != 2 {
@@ -207,7 +225,7 @@ func TestBatchCacheDuplicateKeysSingleFlight(t *testing.T) {
 	tr := randomTriples(22, 1)[0]
 	ss := []sched.Schedule{tr.s, tr.s, tr.s, tr.s}
 
-	costs, errs := c.EvaluateBatch(tr.a, ss, tr.l)
+	costs, errs := evaluateRound(c, tr.a, ss, tr.l)
 	for i := range ss {
 		if errs[i] != nil || costs[i].DelayCycles != 5 {
 			t.Fatalf("item %d: cost=%+v err=%v", i, costs[i], errs[i])
@@ -247,10 +265,10 @@ func TestBatchCachePanicWithdrawsLeaders(t *testing.T) {
 				t.Fatal("panic did not propagate through the batch cache")
 			}
 		}()
-		c.EvaluateBatch(trs[0].a, ss, trs[0].l)
+		evaluateRound(c, trs[0].a, ss, trs[0].l)
 	}()
 
-	costs, errs := c.EvaluateBatch(trs[0].a, ss, trs[0].l)
+	costs, errs := evaluateRound(c, trs[0].a, ss, trs[0].l)
 	for i := range ss {
 		if errs[i] != nil || costs[i].DelayCycles != 2 {
 			t.Fatalf("post-panic item %d: cost=%+v err=%v", i, costs[i], errs[i])

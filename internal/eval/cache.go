@@ -147,94 +147,235 @@ func WithCache() Middleware {
 // it is transparent in the name (and the checkpoint fingerprint).
 func (c *Cache) Name() string { return c.inner.Name() }
 
-// Evaluate implements core.Evaluator with memoization and single-flight
-// deduplication.
+// Evaluate implements core.Evaluator as a round of one. The round
+// keeps its slices off the heap (see EvaluateRound), so the buffers live
+// on the stack.
 func (c *Cache) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
-	return c.evaluateSpan(nil, a, s, l)
+	var costs [1]maestro.Cost
+	var errs [1]error
+	c.EvaluateRound(nil, a, []sched.Schedule{s}, l, costs[:], errs[:])
+	return costs[0], errs[0]
 }
 
-// EvaluateSpan implements core.SpanEvaluator: identical memoization, but
-// the cache.hit/miss/leaderpanic events this call emits are parented
-// under sp and delivered to sp's sink — so on a shared pipeline each job
-// sees only its own cache traffic.
-func (c *Cache) EvaluateSpan(sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
-	return c.evaluateSpan(sp, a, s, l)
-}
+// EvaluateRound implements core.RoundEvaluator with memoization and
+// single-flight deduplication. The round is partitioned into memoized
+// hits, a miss set this call leads, and followers of in-flight entries
+// (other callers' or this very round's leaders, for duplicate keys).
+// The misses go to the inner evaluator as ONE round; followers are
+// resolved only after the leaders publish, which is what makes in-round
+// duplicates safe — a follower of its own round's leader would
+// otherwise deadlock waiting on work that has not been submitted yet.
+// An in-round duplicate counts as coalesced+hit, because it genuinely
+// waited on the in-flight leader.
+//
+// The cache.hit/miss/leaderpanic events this call emits are parented
+// under sp and delivered to sp's sink, so on a shared pipeline each job
+// sees only its own cache traffic. ss, costs and errs never reach the
+// inner evaluator (the misses travel in pooled scratch), so a round of
+// one over stack buffers stays allocation-free on a hit.
+func (c *Cache) EvaluateRound(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer,
+	costs []maestro.Cost, errs []error) {
 
-func (c *Cache) evaluateSpan(sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
-	key := CanonicalKey(a, s, l)
-	shard := &c.shards[Fingerprint(key)&(cacheShards-1)]
-	for {
+	// Per-item state: on the stack for a round of one, the common case;
+	// pooled for larger rounds. The miss set is pooled too, and taken
+	// only when there is a miss.
+	var ent1 [1]*cacheEntry
+	var flag1 [1]uint8
+	sc := cacheScratch{ents: ent1[:], flags: flag1[:]}
+	if len(ss) > 1 {
+		pooled := cacheScratchPool.Get().(*cacheScratch)
+		defer cacheScratchPool.Put(pooled)
+		pooled.reset(len(ss))
+		sc = *pooled
+	}
+	var miss *missSet
+
+	// Phase 1: register every item, becoming leader or follower per key.
+	for i := range ss {
+		key := CanonicalKey(a, ss[i], l)
+		shard := &c.shards[Fingerprint(key)&(cacheShards-1)]
 		shard.mu.Lock()
 		if e, ok := shard.m[key]; ok {
 			shard.mu.Unlock()
-			inFlight := false
+			sc.ents[i] = e
 			select {
 			case <-e.done:
 			default:
-				inFlight = true // wait for the leader, single-flight style
+				sc.flags[i] |= flagInFlight
 			}
-			<-e.done
-			if inFlight {
-				c.coalesced.Add(1)
-			}
-			if e.keep {
-				c.hits.Add(1)
-				if obs.Active(sp, c.tr) {
-					sp.EmitTo(c.tr, obs.Event{Type: obs.CacheHit})
-				}
-				return e.cost, e.err
-			}
-			// The leader's outcome was not memoizable (transient fault,
-			// or the leader panicked); it withdrew the entry, so retry
-			// as a leader.
 			continue
 		}
 		e := &cacheEntry{done: make(chan struct{})}
 		shard.m[key] = e
 		shard.mu.Unlock()
-		return c.lead(sp, shard, key, e, a, s, l)
+		sc.ents[i] = e
+		sc.flags[i] |= flagLeader
+		if miss == nil {
+			miss = missSets.Get().(*missSet)
+			miss.reset()
+		}
+		miss.add(i, ss[i])
+	}
+
+	// Phase 2: one inner round for all misses. If the inner evaluator
+	// panics (no guard below the cache), every unpublished leader entry
+	// is withdrawn and released before the panic propagates, so
+	// followers retry instead of blocking forever.
+	if miss != nil {
+		finished := false
+		defer func() {
+			if finished {
+				return
+			}
+			for _, i := range miss.idx {
+				c.withdraw(a, ss[i], l)
+				close(sc.ents[i].done)
+				if obs.Active(sp, c.tr) {
+					sp.EmitTo(c.tr, obs.Event{Type: obs.CachePanic})
+				}
+			}
+		}()
+		miss.evaluate(c.inner, sp, a, l)
+		finished = true
+
+		// Phase 3: publish the leaders' results. Successes and
+		// ErrInvalid verdicts are kept; any other outcome is withdrawn.
+		for j, i := range miss.idx {
+			e := sc.ents[i]
+			e.cost, e.err = miss.costs[j], miss.errs[j]
+			e.keep = e.err == nil || errors.Is(e.err, maestro.ErrInvalid)
+			if e.keep {
+				c.entries.Add(1)
+			} else {
+				c.withdraw(a, ss[i], l)
+			}
+			c.misses.Add(1)
+			if obs.Active(sp, c.tr) {
+				sp.EmitTo(c.tr, obs.Event{Type: obs.CacheMiss})
+			}
+			close(e.done)
+			costs[i], errs[i] = e.cost, e.err
+		}
+		missSets.Put(miss)
+	}
+
+	// Phase 4: resolve followers, now that every leader in this round
+	// has published. A withdrawn entry (non-memoizable outcome, or its
+	// leader panicked) sends the follower round again on its own, where
+	// it retries as a leader.
+	for i := range ss {
+		if sc.flags[i]&flagLeader != 0 {
+			continue
+		}
+		e := sc.ents[i]
+		if sc.flags[i]&flagInFlight != 0 {
+			<-e.done // phase 1 saw every other entry already resolved
+			c.coalesced.Add(1)
+		}
+		if !e.keep {
+			c.EvaluateRound(sp, a, ss[i:i+1], l, costs[i:i+1], errs[i:i+1])
+			continue
+		}
+		c.hits.Add(1)
+		if obs.Active(sp, c.tr) {
+			sp.EmitTo(c.tr, obs.Event{Type: obs.CacheHit})
+		}
+		costs[i], errs[i] = e.cost, e.err
 	}
 }
 
-// lead runs the one real evaluation for a key and publishes the result.
-// If the evaluation panics (no guard below the cache), the entry is
-// withdrawn before the panic propagates so waiting followers retry
-// instead of blocking forever.
-func (c *Cache) lead(sp *obs.Span, shard *cacheShard, key Key, e *cacheEntry,
-	a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
+// withdraw removes the entry of one evaluation from its shard. It
+// recomputes the key: withdrawals are rare (faults and panics), so the
+// round does not keep every key around for them.
+func (c *Cache) withdraw(a hw.Accel, s sched.Schedule, l workload.Layer) {
+	key := CanonicalKey(a, s, l)
+	shard := &c.shards[Fingerprint(key)&(cacheShards-1)]
+	shard.mu.Lock()
+	delete(shard.m, key)
+	shard.mu.Unlock()
+}
 
-	finished := false
-	defer func() {
-		if !finished { // panicking: withdraw and release followers
-			shard.mu.Lock()
-			delete(shard.m, key)
-			shard.mu.Unlock()
-			close(e.done)
-			if obs.Active(sp, c.tr) {
-				sp.EmitTo(c.tr, obs.Event{Type: obs.CachePanic})
-			}
-		}
-	}()
-	cost, err := core.EvaluateSpan(c.inner, sp, a, s, l)
-	finished = true
+// cacheScratch is the per-item working set of Cache.EvaluateRound:
+// entry pointers and role flags.
+type cacheScratch struct {
+	ents  []*cacheEntry
+	flags []uint8
+}
 
-	e.cost, e.err = cost, err
-	e.keep = err == nil || errors.Is(err, maestro.ErrInvalid)
-	if e.keep {
-		c.entries.Add(1)
-	} else {
-		shard.mu.Lock()
-		delete(shard.m, key)
-		shard.mu.Unlock()
+// role flags for cacheScratch.flags.
+const (
+	flagLeader   uint8 = 1 << iota // this call owns the entry and must publish it
+	flagInFlight                   // follower found the entry unresolved (counts as coalesced)
+)
+
+var cacheScratchPool = sync.Pool{New: func() any { return new(cacheScratch) }}
+
+func (b *cacheScratch) reset(n int) {
+	if cap(b.ents) < n {
+		b.ents = make([]*cacheEntry, n)
+		b.flags = make([]uint8, n)
 	}
-	c.misses.Add(1)
-	if obs.Active(sp, c.tr) {
-		sp.EmitTo(c.tr, obs.Event{Type: obs.CacheMiss})
+	b.ents = b.ents[:n]
+	b.flags = b.flags[:n]
+	clear(b.ents)
+	clear(b.flags)
+}
+
+// missSet is the part of a round a memo layer could not answer: each
+// miss's position in the round, its schedule, and room for its result,
+// so the misses reach the inner evaluator as one round.
+type missSet struct {
+	idx   []int
+	ss    []sched.Schedule
+	costs []maestro.Cost
+	errs  []error
+}
+
+var missSets = sync.Pool{New: func() any { return new(missSet) }}
+
+func (m *missSet) reset() {
+	clear(m.errs)
+	m.idx = m.idx[:0]
+	m.ss = m.ss[:0]
+}
+
+func (m *missSet) add(i int, s sched.Schedule) {
+	m.idx = append(m.idx, i)
+	m.ss = append(m.ss, s)
+}
+
+// evaluate costs the misses in one round through inner.
+func (m *missSet) evaluate(inner core.Evaluator, sp *obs.Span, a hw.Accel, l workload.Layer) {
+	n := len(m.ss)
+	if cap(m.costs) < n {
+		m.costs = make([]maestro.Cost, n)
+		m.errs = make([]error, n)
 	}
-	close(e.done)
+	m.costs, m.errs = m.costs[:n], m.errs[:n]
+	core.EvaluateRound(inner, sp, a, m.ss, l, m.costs, m.errs)
+}
+
+// evaluateOne is the round of one behind each middleware's Evaluate.
+// Its buffers are pooled: slices handed to a round may reach an
+// interface call, which would move stack buffers to the heap.
+func evaluateOne(r core.RoundEvaluator, a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
+	b := oneBufs.Get().(*oneBuf)
+	b.ss[0] = s
+	r.EvaluateRound(nil, a, b.ss[:], l, b.costs[:], b.errs[:])
+	cost, err := b.costs[0], b.errs[0]
+	b.errs[0] = nil
+	oneBufs.Put(b)
 	return cost, err
 }
+
+// oneBuf holds the buffers of one evaluateOne round.
+type oneBuf struct {
+	ss    [1]sched.Schedule
+	costs [1]maestro.Cost
+	errs  [1]error
+}
+
+var oneBufs = sync.Pool{New: func() any { return new(oneBuf) }}
 
 // CacheSnapshot is a point-in-time view of the cache counters.
 type CacheSnapshot struct {

@@ -160,13 +160,21 @@ func (p *Pipeline) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (mae
 	return p.outer.Evaluate(a, s, l)
 }
 
-// EvaluateSpan implements core.SpanEvaluator, handing the caller's span
-// to the outermost layer. Layers that understand spans thread them
-// inward; the first one that does not silently drops the span and the
-// rest of the chain behaves exactly as an un-spanned call — results are
-// identical either way.
-func (p *Pipeline) EvaluateSpan(sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
-	return core.EvaluateSpan(p.outer, sp, a, s, l)
+// EvaluateRound implements core.RoundEvaluator by handing the round,
+// and the span that caused it, to the outermost layer. Each layer
+// forwards it inward; results are identical to per-item Evaluate.
+func (p *Pipeline) EvaluateRound(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer,
+	costs []maestro.Cost, errs []error) {
+	core.EvaluateRound(p.outer, sp, a, ss, l, costs, errs)
+}
+
+// EvaluateBatch implements core.BatchEvaluator: one untraced round
+// into freshly allocated result slices.
+func (p *Pipeline) EvaluateBatch(a hw.Accel, ss []sched.Schedule, l workload.Layer) ([]maestro.Cost, []error) {
+	costs := make([]maestro.Cost, len(ss))
+	errs := make([]error, len(ss))
+	p.EvaluateRound(nil, a, ss, l, costs, errs)
+	return costs, errs
 }
 
 // Name implements core.Evaluator. Trajectory-neutral layers (cache,

@@ -5,6 +5,7 @@ import (
 	"math"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"spotlight/internal/core"
 	"spotlight/internal/eval/diskcache"
@@ -240,60 +241,30 @@ func (d *Disk) Sync() {
 	}
 }
 
-// Evaluate implements core.Evaluator.
+// Evaluate implements core.Evaluator as a round of one.
 func (d *Disk) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
-	return d.EvaluateSpan(nil, a, s, l)
+	return evaluateOne(d, a, s, l)
 }
 
-// EvaluateSpan implements core.SpanEvaluator: the hit/append persistence
-// events are parented under sp (when given) and follow its sink.
-func (d *Disk) EvaluateSpan(sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
+// EvaluateRound implements core.RoundEvaluator: disk hits are answered
+// from the index, and the misses go to the inner evaluator as one
+// round, each persistable result appended as it is published. The
+// hit/append persistence events are parented under sp (when given) and
+// follow its sink.
+func (d *Disk) EvaluateRound(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer,
+	costs []maestro.Cost, errs []error) {
+
 	if d.store == nil {
-		return core.EvaluateSpan(d.inner, sp, a, s, l)
+		core.EvaluateRound(d.inner, sp, a, ss, l, costs, errs)
+		return
 	}
-	key := diskcache.Key(RecordKey(d.backend, d.fingerprint, CanonicalKey(a, s, l)))
-	if val, ok := d.store.Get(key); ok {
-		if cost, verdict, ok := decodeResult(val); ok {
-			if obs.Active(sp, d.tr) {
-				sp.EmitTo(d.tr, obs.Event{Type: obs.CachePersist, Detail: "hit"})
-			}
-			return cost, verdict
-		}
-		// Undecodable entry: fall through, recompute, and re-Put below —
-		// the repair path for corrupt-but-framed records.
-	}
-	cost, err := core.EvaluateSpan(d.inner, sp, a, s, l)
-	if val := encodeResult(cost, err); val != nil {
-		d.store.Put(key, val)
-		if obs.Active(sp, d.tr) {
-			sp.EmitTo(d.tr, obs.Event{Type: obs.CachePersist, Detail: "append"})
-		}
-	}
-	return cost, err
-}
-
-// EvaluateBatch implements core.BatchEvaluator: disk hits are answered
-// from the index, and the misses go to the inner evaluator in ONE batch
-// call (preserving the batch fast path), each persistable result
-// appended as it is published.
-func (d *Disk) EvaluateBatch(a hw.Accel, ss []sched.Schedule, l workload.Layer) ([]maestro.Cost, []error) {
-	return d.EvaluateBatchSpan(nil, a, ss, l)
-}
-
-// EvaluateBatchSpan implements core.SpanBatchEvaluator with the same
-// hit/miss partitioning; the span rides inward on the one miss-set call.
-func (d *Disk) EvaluateBatchSpan(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer) ([]maestro.Cost, []error) {
-	if d.store == nil {
-		return core.EvaluateBatchSpan(d.inner, sp, a, ss, l)
-	}
-	costs := make([]maestro.Cost, len(ss))
-	errs := make([]error, len(ss))
-	keys := make([]diskcache.Key, len(ss))
-	var missIdx []int
-	var missSS []sched.Schedule
+	sc := diskScratchPool.Get().(*diskScratch)
+	defer diskScratchPool.Put(sc)
+	sc.keys = sc.keys[:0]
+	sc.miss.reset()
 	for i := range ss {
-		keys[i] = diskcache.Key(RecordKey(d.backend, d.fingerprint, CanonicalKey(a, ss[i], l)))
-		if val, ok := d.store.Get(keys[i]); ok {
+		key := diskcache.Key(RecordKey(d.backend, d.fingerprint, CanonicalKey(a, ss[i], l)))
+		if val, ok := d.store.Get(key); ok {
 			if cost, verdict, ok := decodeResult(val); ok {
 				if obs.Active(sp, d.tr) {
 					sp.EmitTo(d.tr, obs.Event{Type: obs.CachePersist, Detail: "hit"})
@@ -301,22 +272,32 @@ func (d *Disk) EvaluateBatchSpan(sp *obs.Span, a hw.Accel, ss []sched.Schedule, 
 				costs[i], errs[i] = cost, verdict
 				continue
 			}
+			// Undecodable entry: recompute and re-Put below — the
+			// repair path for corrupt-but-framed records.
 		}
-		missIdx = append(missIdx, i)
-		missSS = append(missSS, ss[i])
+		sc.keys = append(sc.keys, key)
+		sc.miss.add(i, ss[i])
 	}
-	if len(missIdx) == 0 {
-		return costs, errs
+	if len(sc.keys) == 0 {
+		return
 	}
-	missCosts, missErrs := core.EvaluateBatchSpan(d.inner, sp, a, missSS, l)
-	for j, i := range missIdx {
-		costs[i], errs[i] = missCosts[j], missErrs[j]
+	sc.miss.evaluate(d.inner, sp, a, l)
+	for j, i := range sc.miss.idx {
+		costs[i], errs[i] = sc.miss.costs[j], sc.miss.errs[j]
 		if val := encodeResult(costs[i], errs[i]); val != nil {
-			d.store.Put(keys[i], val)
+			d.store.Put(sc.keys[j], val)
 			if obs.Active(sp, d.tr) {
 				sp.EmitTo(d.tr, obs.Event{Type: obs.CachePersist, Detail: "append"})
 			}
 		}
 	}
-	return costs, errs
 }
+
+// diskScratch is the reusable per-round working set of
+// Disk.EvaluateRound: the record keys of the misses and the miss set.
+type diskScratch struct {
+	keys []diskcache.Key
+	miss missSet
+}
+
+var diskScratchPool = sync.Pool{New: func() any { return new(diskScratch) }}

@@ -5,8 +5,11 @@ import (
 	"testing"
 
 	"spotlight/internal/core"
+	"spotlight/internal/hw"
 	"spotlight/internal/maestro"
 	"spotlight/internal/obs"
+	"spotlight/internal/sched"
+	"spotlight/internal/workload"
 )
 
 // spanSink is an enabled tracer retaining every event, for asserting on
@@ -36,9 +39,17 @@ func (c *spanSink) byType(t obs.EventType) []obs.Event {
 	return out
 }
 
+// evaluateSpan evaluates one schedule through ev as a round of one
+// under sp.
+func evaluateSpan(ev core.Evaluator, sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
+	costs, errs := make([]maestro.Cost, 1), make([]error, 1)
+	core.EvaluateRound(ev, sp, a, []sched.Schedule{s}, l, costs, errs)
+	return costs[0], errs[0]
+}
+
 // TestSpanThreadingRoutesMiddlewareEvents proves the per-job telemetry
 // mechanism end to end at the middleware layer: with a span threaded
-// through EvaluateSpan, the trace and cache middleware parent their
+// through EvaluateRound, the trace and cache middleware parent their
 // events under the span and follow the SPAN's sink — not the pipeline's
 // construction-time tracer — which is what keeps per-job registries
 // isolated even though spotlightd's eval pipeline is shared. Without a
@@ -51,10 +62,10 @@ func TestSpanThreadingRoutesMiddlewareEvents(t *testing.T) {
 
 	// Under a span: every event routes to the span's sink, parented.
 	sp := obs.StartSpan(jobSink, "trial")
-	if _, err := core.EvaluateSpan(pipe, sp, tr[0].a, tr[0].s, tr[0].l); err != nil {
+	if _, err := evaluateSpan(pipe, sp, tr[0].a, tr[0].s, tr[0].l); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.EvaluateSpan(pipe, sp, tr[0].a, tr[0].s, tr[0].l); err != nil { // memo hit
+	if _, err := evaluateSpan(pipe, sp, tr[0].a, tr[0].s, tr[0].l); err != nil { // memo hit
 		t.Fatal(err)
 	}
 	sp.End()

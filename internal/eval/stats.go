@@ -54,31 +54,34 @@ func WithStats() Middleware {
 // transparent in the name (and the checkpoint fingerprint).
 func (st *Stats) Name() string { return st.inner.Name() }
 
-// Evaluate implements core.Evaluator, counting the call and its outcome.
-// Latency is an observability counter: it is reported, never fed back
-// into the search, and the wall-clock read goes through obs — the one
-// package sanctioned to touch the clock.
+// Evaluate implements core.Evaluator as a round of one.
 func (st *Stats) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
-	return st.EvaluateSpan(nil, a, s, l)
+	return evaluateOne(st, a, s, l)
 }
 
-// EvaluateSpan implements core.SpanEvaluator. Stats itself emits no
-// events on the evaluate path — it only counts — so the span is purely
-// forwarded inward for the trace layer and backend to attribute.
-func (st *Stats) EvaluateSpan(sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
+// EvaluateRound implements core.RoundEvaluator: one latency sample
+// covering the whole round, len(ss) evals, and each item's outcome.
+// Latency is an observability counter: it is reported, never fed back
+// into the search, and the wall-clock read goes through obs — the one
+// package sanctioned to touch the clock. Stats emits no events on this
+// path, so sp is only forwarded inward.
+func (st *Stats) EvaluateRound(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer,
+	costs []maestro.Cost, errs []error) {
+
 	start := obs.Now()
-	cost, err := core.EvaluateSpan(st.inner, sp, a, s, l)
+	core.EvaluateRound(st.inner, sp, a, ss, l, costs, errs)
 	st.latencyNS.Add(int64(obs.Since(start)))
-	st.evals.Add(1)
-	switch Outcome(err) {
-	case OutcomeOK:
-		st.ok.Add(1)
-	case OutcomeInvalid:
-		st.invalid.Add(1)
-	default:
-		st.errs.Add(1)
+	st.evals.Add(int64(len(ss)))
+	for _, err := range errs[:len(ss)] {
+		switch Outcome(err) {
+		case OutcomeOK:
+			st.ok.Add(1)
+		case OutcomeInvalid:
+			st.invalid.Add(1)
+		default:
+			st.errs.Add(1)
+		}
 	}
-	return cost, err
 }
 
 // Event implements sim.EventSink: named backend events are tallied into

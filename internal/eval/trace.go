@@ -59,25 +59,35 @@ func WithTrace(tr obs.Tracer) Middleware {
 // is transparent in the name (and the checkpoint fingerprint).
 func (t *Trace) Name() string { return t.inner.Name() }
 
-// Evaluate implements core.Evaluator.
+// Evaluate implements core.Evaluator as a round of one.
 func (t *Trace) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
-	return t.EvaluateSpan(nil, a, s, l)
+	return evaluateOne(t, a, s, l)
 }
 
-// EvaluateSpan implements core.SpanEvaluator: the eval.done event is
-// parented under sp and follows sp's sink, so each spotlightd job sees
-// its own evaluations even though the pipeline is shared.
-func (t *Trace) EvaluateSpan(sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
+// EvaluateRound implements core.RoundEvaluator: one eval.done event per
+// item with its outcome, parented under sp and following sp's sink, so
+// each spotlightd job sees its own evaluations even though the pipeline
+// is shared. A round of one carries its duration on that event; a
+// multi-item round has no per-item durations, so it adds one eval.batch
+// event with the round size and the whole-round duration instead.
+func (t *Trace) EvaluateRound(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer,
+	costs []maestro.Cost, errs []error) {
+
 	if !obs.Active(sp, t.tr) {
-		return t.inner.Evaluate(a, s, l)
+		core.EvaluateRound(t.inner, sp, a, ss, l, costs, errs)
+		return
 	}
 	start := obs.Now()
-	cost, err := core.EvaluateSpan(t.inner, sp, a, s, l)
-	sp.EmitTo(t.tr, obs.Event{
-		Type:   obs.EvalDone,
-		Scope:  t.scope,
-		DurMS:  obs.MS(obs.Since(start)),
-		Detail: Outcome(err),
-	})
-	return cost, err
+	core.EvaluateRound(t.inner, sp, a, ss, l, costs, errs)
+	dur := obs.MS(obs.Since(start))
+	for i := range ss {
+		e := obs.Event{Type: obs.EvalDone, Scope: t.scope, Detail: Outcome(errs[i])}
+		if len(ss) == 1 {
+			e.DurMS = dur
+		}
+		sp.EmitTo(t.tr, e)
+	}
+	if len(ss) > 1 {
+		sp.EmitTo(t.tr, obs.Event{Type: obs.EvalBatch, Scope: t.scope, N: len(ss), DurMS: dur})
+	}
 }

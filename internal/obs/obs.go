@@ -65,7 +65,7 @@ const (
 
 	// Evaluation pipeline (internal/eval, internal/resilience).
 	EvalDone     EventType = "eval.done"         // DurMS; Detail: ok|invalid|error
-	EvalBatch    EventType = "eval.batch"        // N: batch size; DurMS: whole-batch duration
+	EvalBatch    EventType = "eval.batch"        // N: items of a multi-item round; DurMS: whole-round duration
 	BackendPath  EventType = "backend.path"      // Detail: backend event name (e.g. sim's simulated/fallback)
 	CacheHit     EventType = "cache.hit"         //
 	CacheMiss    EventType = "cache.miss"        //

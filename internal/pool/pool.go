@@ -8,11 +8,9 @@
 // Granularity: each index is a whole unit of work, not a single
 // evaluation. The layer search hands the pool one index per layer, and
 // inside fn(i) the driver evaluates that layer's candidate rounds
-// through core.EvaluateBatch — so a worker amortizes per-layer setup
-// across its round's candidates in one call instead of paying it per
-// candidate. The pool needs no batch awareness of its own; keeping the
-// fan-out boundary at the layer is what lets the batched and sequential
-// paths produce bit-identical results at any worker count.
+// through core.EvaluateRound. The pool needs no round awareness of its
+// own; keeping the fan-out boundary at the layer is what makes results
+// bit-identical at any worker count.
 //
 // Fault containment: a panic inside fn does not take down sibling
 // workers or leak goroutines. The pool stops handing out new indices,

@@ -91,24 +91,32 @@ type Guard struct {
 // Name implements Evaluator.
 func (g *Guard) Name() string { return "guard(" + g.Eval.Name() + ")" }
 
-// spanEvaluator is the span-threading fast path of the evaluator
-// contract, declared structurally (like Evaluator above) so resilience
-// stays below core in the import graph; it matches
-// core.SpanEvaluator's method exactly.
-type spanEvaluator interface {
-	EvaluateSpan(*obs.Span, hw.Accel, sched.Schedule, workload.Layer) (maestro.Cost, error)
+// roundEvaluator is the evaluation round of the evaluator contract,
+// declared structurally (like Evaluator above) so resilience stays
+// below core in the import graph; it matches core.RoundEvaluator's
+// method exactly.
+type roundEvaluator interface {
+	EvaluateRound(*obs.Span, hw.Accel, []sched.Schedule, workload.Layer, []maestro.Cost, []error)
 }
 
 // Evaluate implements Evaluator with the guard policy applied.
 func (g *Guard) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
-	return g.EvaluateSpan(nil, a, s, l)
+	return g.evaluate(nil, a, s, l)
 }
 
-// EvaluateSpan applies the same guard policy while threading the
-// caller's span inward (when the wrapped evaluator understands spans)
-// and parenting the guard's own retry/timeout events under it. With a
-// nil span it is exactly Evaluate.
-func (g *Guard) EvaluateSpan(sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
+// EvaluateRound applies the guard policy to each item of the round in
+// turn, threading the caller's span inward and parenting the guard's
+// own retry/timeout events under it.
+func (g *Guard) EvaluateRound(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer,
+	costs []maestro.Cost, errs []error) {
+	for i := range ss {
+		costs[i], errs[i] = g.evaluate(sp, a, ss[i], l)
+	}
+}
+
+// evaluate is the per-item guard policy: retry transient faults of
+// guarded attempts. With a nil span it emits nothing.
+func (g *Guard) evaluate(sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.Layer) (maestro.Cost, error) {
 	transient := g.IsTransient
 	if transient == nil {
 		transient = func(err error) bool { return errors.Is(err, ErrTransient) }
@@ -163,10 +171,12 @@ func (g *Guard) safeCall(sp *obs.Span, a hw.Accel, s sched.Schedule, l workload.
 			err = fmt.Errorf("%w: %v", ErrPanic, r)
 		}
 	}()
-	if sp != nil {
-		if se, ok := g.Eval.(spanEvaluator); ok {
-			return se.EvaluateSpan(sp, a, s, l)
-		}
+	if r, ok := g.Eval.(roundEvaluator); ok && sp != nil {
+		// A round of one over buffers of its own: an abandoned
+		// (timed-out) call must not write into the caller's round.
+		costs, errs := [1]maestro.Cost{}, [1]error{}
+		r.EvaluateRound(sp, a, []sched.Schedule{s}, l, costs[:], errs[:])
+		return costs[0], errs[0]
 	}
 	return g.Eval.Evaluate(a, s, l)
 }

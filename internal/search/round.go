@@ -1,12 +1,14 @@
 package search
 
-// This file declares which software proposers support round batching
-// (core.RoundProposer): a proposer advertises how many upcoming Suggest
-// calls are independent of intervening Observe feedback, and the nested
-// driver evaluates that many candidates in one core.EvaluateBatch call.
-// The contract is strict — a round must draw exactly the same RNG
-// stream whether or not Observe calls are interleaved — which is what
-// keeps batched and unbatched Histories bit-identical.
+// This file declares which software proposers size their own
+// evaluation rounds (core.RoundProposer): a proposer advertises how many
+// upcoming Suggest calls are independent of intervening Observe
+// feedback, and the nested driver evaluates that many candidates in one
+// round. The contract is strict — a round must draw exactly the same
+// RNG stream whether or not Observe calls are interleaved — which is
+// what keeps Histories bit-identical at any round size. Proposers whose
+// every suggestion depends on the previous observation (HASCO's
+// Q-agent) declare nothing and run in rounds of 1.
 
 // feedbackFreeRound is the round size advertised by proposers whose
 // suggestions never depend on feedback; the driver caps each round at
@@ -34,10 +36,3 @@ func (w *gaSW) RoundSize() int {
 	}
 	return 1
 }
-
-// RoundSize implements core.RoundProposer for HASCO's Q-agent: Suggest
-// reads the visit counts and Q-values that Observe updates, so every
-// suggestion depends on the previous observation and rounds are always
-// single evaluations (they still flow through the batch path, keeping
-// the evaluation stack uniform across strategies).
-func (*hascoSW) RoundSize() int { return 1 }

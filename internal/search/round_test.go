@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"spotlight/internal/core"
+	"spotlight/internal/hw"
+	"spotlight/internal/workload"
 )
 
 // stripElapsed zeroes the wall-clock column of a history so runs can be
@@ -20,10 +22,19 @@ func stripElapsed(h []core.HistoryPoint) []core.HistoryPoint {
 	return out
 }
 
-// TestBatchedRunsBitIdentical is the flagship invariant of the batching
-// issue at the driver level: for every strategy, History and Best are
-// bit-identical whether layer candidates are evaluated through the
-// round-batched fast path or the sequential loop, at any worker count.
+// oneAtATime wraps a strategy so its software proposers hide any
+// RoundSize: the driver then runs them in rounds of 1, the sequential
+// sample-evaluate-observe loop.
+type oneAtATime struct{ core.Strategy }
+
+func (s oneAtATime) NewSW(cfg core.RunConfig, rng *rand.Rand, a hw.Accel, l workload.Layer) core.SWProposer {
+	return struct{ core.SWProposer }{s.Strategy.NewSW(cfg, rng, a, l)}
+}
+
+// TestBatchedRunsBitIdentical is the round invariant at the driver
+// level: for every strategy, History, Best and Top are bit-identical
+// whether the proposers size their own rounds or run in rounds of 1,
+// at any worker count.
 func TestBatchedRunsBitIdentical(t *testing.T) {
 	strategies := []func() core.Strategy{
 		func() core.Strategy { return NewRandom() },
@@ -35,36 +46,39 @@ func TestBatchedRunsBitIdentical(t *testing.T) {
 		name := mk().Name()
 		t.Run(name, func(t *testing.T) {
 			type variant struct {
-				disableBatch bool
-				workers      int
+				sequential bool
+				workers    int
 			}
 			variants := []variant{
-				{disableBatch: true, workers: 1}, // reference: sequential, serial
-				{disableBatch: false, workers: 1},
-				{disableBatch: true, workers: 8},
-				{disableBatch: false, workers: 8},
+				{sequential: true, workers: 1}, // reference: rounds of 1, serial
+				{sequential: false, workers: 1},
+				{sequential: true, workers: 8},
+				{sequential: false, workers: 8},
 			}
 			var ref core.Result
 			for vi, v := range variants {
 				cfg := tinyConfig(42)
-				cfg.DisableBatch = v.disableBatch
 				cfg.Workers = v.workers
-				res, err := core.Run(cfg, mk())
+				strat := mk()
+				if v.sequential {
+					strat = oneAtATime{strat}
+				}
+				res, err := core.Run(cfg, strat)
 				if err != nil {
-					t.Fatalf("run (batch=%v workers=%d) failed: %v", !v.disableBatch, v.workers, err)
+					t.Fatalf("run (sequential=%v workers=%d) failed: %v", v.sequential, v.workers, err)
 				}
 				if vi == 0 {
 					ref = res
 					continue
 				}
 				if !reflect.DeepEqual(stripElapsed(ref.History), stripElapsed(res.History)) {
-					t.Errorf("History diverged (batch=%v workers=%d)", !v.disableBatch, v.workers)
+					t.Errorf("History diverged (sequential=%v workers=%d)", v.sequential, v.workers)
 				}
 				if !reflect.DeepEqual(ref.Best, res.Best) {
-					t.Errorf("Best diverged (batch=%v workers=%d)", !v.disableBatch, v.workers)
+					t.Errorf("Best diverged (sequential=%v workers=%d)", v.sequential, v.workers)
 				}
 				if !reflect.DeepEqual(ref.Top, res.Top) {
-					t.Errorf("Top diverged (batch=%v workers=%d)", !v.disableBatch, v.workers)
+					t.Errorf("Top diverged (sequential=%v workers=%d)", v.sequential, v.workers)
 				}
 			}
 		})
@@ -72,7 +86,9 @@ func TestBatchedRunsBitIdentical(t *testing.T) {
 }
 
 // TestRoundSizes pins each proposer's advertised round size to its
-// feedback structure, the contract runLayerSearchBatched relies on.
+// feedback structure, the contract the round driver relies on. HASCO's
+// Q-agent reads what Observe updates, so it runs in the default rounds
+// of 1 and declares no round size.
 func TestRoundSizes(t *testing.T) {
 	cfg := tinyConfig(1)
 	rng := rand.New(rand.NewSource(3))
@@ -91,8 +107,8 @@ func TestRoundSizes(t *testing.T) {
 	if got := newSW(NewConfuciuX()).RoundSize(); got != feedbackFreeRound {
 		t.Errorf("confuciux RoundSize = %d, want feedback-free", got)
 	}
-	if got := newSW(NewHASCO()).RoundSize(); got != 1 {
-		t.Errorf("hasco RoundSize = %d, want 1", got)
+	if _, ok := NewHASCO().NewSW(cfg, rng, a, l).(core.RoundProposer); ok {
+		t.Error("hasco software proposer declares a round size; its suggestions depend on feedback")
 	}
 	// The GA batches the population seed as one round, then collapses to
 	// sequential breeding.

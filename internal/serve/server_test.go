@@ -108,6 +108,20 @@ func TestSubmitMalformedJSON(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsNobatch: the removed "nobatch" switch is now an
+// unknown field, so a submit carrying it is a 400 naming the field
+// rather than a silently ignored option.
+func TestSubmitRejectsNobatch(t *testing.T) {
+	s := newTestServer(t)
+	rec := do(t, s, "POST", "/jobs", `{"kind":"experiment","steps":["simcheck"],"nobatch":true}`)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("submit = %d, want 400\n%s", rec.Code, rec.Body)
+	}
+	if body := decodeError(t, rec); !strings.Contains(body.Error, `"nobatch"`) {
+		t.Fatalf("error %q does not name the nobatch field", body.Error)
+	}
+}
+
 // TestSubmitUnknownBackendListsRegistered: an unknown eval-spec token is
 // a 400 whose body names the backends that do exist — the
 // *eval.UnknownBackendError carried over the wire.
