@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint sarif vet fmt race chaos perfbenchtest tracesmoke batchsmoke crashsmoke servesmoke metricssmoke bench ci
+.PHONY: all build test lint sarif vet fmt race chaos perfbenchtest perfsmoke tracesmoke batchsmoke crashsmoke servesmoke metricssmoke bench ci
 
 all: build test lint
 
@@ -47,6 +47,14 @@ chaos:
 # and the engine by name. Mirrors the CI step.
 perfbenchtest:
 	cd perfbench && GOFLAGS= GOPROXY=off $(GO) vet ./... && GOFLAGS= GOPROXY=off $(GO) test ./...
+
+# perfsmoke runs the benchmark briefly on the two workloads that go
+# through the memo cache. run.sh exits 0 only when every iteration's
+# design digest equals the workload's reference digest, so this proves
+# the cache trajectory-neutral end to end. Mirrors the CI step.
+perfsmoke:
+	bash perfbench/run.sh --workload baselines_eval --seconds 1
+	bash perfbench/run.sh --workload jobs_mixed --seconds 1
 
 # tracesmoke proves the observe-only invariant end to end through the
 # CLI: a traced and an untraced fig6 run produce byte-identical CSVs,
@@ -187,4 +195,4 @@ bench:
 	  }' /tmp/bench6.txt > BENCH_6.json
 	cat BENCH_6.json
 
-ci: lint build test race chaos perfbenchtest tracesmoke batchsmoke crashsmoke servesmoke metricssmoke
+ci: lint build test race chaos perfbenchtest perfsmoke tracesmoke batchsmoke crashsmoke servesmoke metricssmoke

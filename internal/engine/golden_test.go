@@ -105,12 +105,13 @@ func TestSearchDigestsGolden(t *testing.T) {
 //	experiments -fig N -models MobileNetV2 -hw 4 -sw 6 -trials 1 -eval E
 //
 // fig6 on both the analytical and the trace-driven backend, fig10 on
-// the analytical one. fig10's wall-clock elapsed_s column is dropped
-// before hashing.
+// the analytical one, and fig6 again through the memo cache, which is
+// trajectory-neutral and so must pin the same bytes as the uncached
+// run. fig10's wall-clock elapsed_s column is dropped before hashing.
 var csvRuns = []struct {
 	step, eval string
 }{
-	{"fig6", "maestro"}, {"fig6", "sim"}, {"fig10", "maestro"},
+	{"fig6", "maestro"}, {"fig6", "sim"}, {"fig10", "maestro"}, {"fig6", "maestro,cache"},
 }
 
 // TestExperimentCSVDigestsGolden pins the SHA-256 of each csvRuns
@@ -124,6 +125,7 @@ func TestExperimentCSVDigestsGolden(t *testing.T) {
 		t.Skip("fig6 on sim takes seconds")
 	}
 	var got bytes.Buffer
+	digests := map[string]string{} // by artifact name and eval spec
 	for _, r := range csvRuns {
 		spec := JobSpec{
 			Kind:      KindExperiment,
@@ -142,8 +144,13 @@ func TestExperimentCSVDigestsGolden(t *testing.T) {
 			t.Fatalf("%s on %s: %v", r.step, r.eval, err)
 		}
 		for _, a := range results[0].Artifacts {
-			fmt.Fprintf(&got, "%s eval=%s %s\n", a.Name, r.eval, csvDigest(a.Data))
+			d := csvDigest(a.Data)
+			digests[a.Name+" eval="+r.eval] = d
+			fmt.Fprintf(&got, "%s eval=%s %s\n", a.Name, r.eval, d)
 		}
+	}
+	if cached, bare := digests["fig6.csv eval=maestro,cache"], digests["fig6.csv eval=maestro"]; cached != bare {
+		t.Errorf("fig6 through the memo cache digests to %s, uncached to %s", cached, bare)
 	}
 	path := filepath.Join("testdata", "csv_digests.golden")
 	if *updateDigests {

@@ -6,15 +6,19 @@ import (
 	"testing"
 
 	"spotlight/internal/core"
+	"spotlight/internal/maestro"
 	"spotlight/internal/obs"
 	"spotlight/internal/sched"
 )
 
 // BenchmarkEvalCache measures the memo cache against the bare analytical
 // backend: "bare" is the uncached cost of one evaluation, "miss" adds
-// the cache's bookkeeping on the cold path, "hit" and "concurrent" are
-// the warm path serially and under parallel load. CI runs this with
-// -benchtime=1x as a smoke test; see DESIGN.md for recorded numbers.
+// the cache's bookkeeping on the cold path (a new accelerator-layer
+// pair every call), "miss-round" is the cold path a search takes
+// (3-schedule rounds of fresh schedules on one pair), "hit" and
+// "concurrent" are the warm path serially and under parallel load. CI
+// runs this with -benchtime=1x as a smoke test; see DESIGN.md for
+// recorded numbers.
 func BenchmarkEvalCache(b *testing.B) {
 	const keys = 256
 	trs := randomTriples(9, keys)[:keys]
@@ -42,14 +46,50 @@ func BenchmarkEvalCache(b *testing.B) {
 		}
 	})
 
+	b.Run("miss-round", func(b *testing.B) {
+		// Rounds of three, the mean round of a random or genetic search,
+		// over a pool of distinct schedules of one pair. Each pass over
+		// the pool starts from an empty cache, so every item is a miss.
+		const round, rounds = 3, 1024
+		base := trs[0]
+		ss := distinctSchedules(base, round*rounds)
+		costs, errs := make([]maestro.Cost, round), make([]error, round)
+		var pipe *Pipeline
+		pass := func(from, to int) {
+			for j := from; j < to; j++ {
+				pipe.EvaluateRound(nil, base.a, ss[j*round:(j+1)*round], base.l, costs, errs)
+			}
+		}
+		// A cold pass allocates at most one object per item, amortized:
+		// the inner round's result slices, the table's growth and the
+		// arena chunks. The cache adds nothing per item.
+		if avg := testing.AllocsPerRun(1, func() {
+			pipe = MustFromSpec("maestro,cache", SpecOptions{})
+			pass(0, rounds)
+		}) / float64(round*rounds); avg > 1 {
+			b.Fatalf("cold rounds allocated %.2f objects per item, want <= 1", avg)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := i % rounds
+			if j == 0 {
+				b.StopTimer()
+				pipe = MustFromSpec("maestro,cache", SpecOptions{})
+				b.StartTimer()
+			}
+			pass(j, j+1)
+		}
+	})
+
 	b.Run("hit", func(b *testing.B) {
 		pipe := MustFromSpec("maestro,cache", SpecOptions{})
 		for _, tr := range trs {
 			pipe.Evaluate(tr.a, tr.s, tr.l)
 		}
-		// The warm path is pinned allocation-free: CanonicalKey builds
-		// the key as a value (no serialization buffer to allocate) and a
-		// hit touches nothing but the shard map.
+		// The warm path is pinned allocation-free: the packed schedule
+		// is a value (no serialization buffer to allocate) and a hit
+		// touches nothing but its pair table and the result arena.
 		tr := trs[0]
 		if avg := testing.AllocsPerRun(100, func() {
 			pipe.Evaluate(tr.a, tr.s, tr.l)
@@ -106,6 +146,22 @@ func BenchmarkEvalCache(b *testing.B) {
 			}
 		})
 	})
+}
+
+// distinctSchedules draws n schedules of tr's (accelerator, layer) pair,
+// no two alike.
+func distinctSchedules(tr triple, n int) []sched.Schedule {
+	rng := rand.New(rand.NewSource(5))
+	seen := make(map[sched.Schedule]bool, n)
+	out := make([]sched.Schedule, 0, n)
+	for len(out) < n {
+		s := sched.Free().Random(rng, tr.l, tr.a.RFBytesPerPE(), tr.a.L2Bytes())
+		if !seen[s] {
+			seen[s] = true
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // BenchmarkTraceOverhead measures what tracing costs an evaluation

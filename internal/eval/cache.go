@@ -2,6 +2,7 @@ package eval
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -13,85 +14,200 @@ import (
 	"spotlight/internal/workload"
 )
 
-// cacheShards is the number of independently locked segments of the memo
-// cache. A power of two so shard selection is a mask; 64 keeps lock
-// contention negligible at any realistic worker count while costing only
-// a few KB of fixed overhead.
-const cacheShards = 64
-
-// Key is the canonical cache identity of one evaluation. The three
-// inputs are plain value types (ints, int arrays, and the layer name),
-// so Go's struct equality is exact — two keys are equal iff the backend
-// would see identical inputs — and the key is directly usable as a map
-// key with no serialization. The only canonicalization applied is to
+// Key is the canonical identity of one evaluation. The three inputs
+// are plain value types (ints, int arrays, and the layer name), so Go's
+// struct equality is exact — two keys are equal iff the backend would
+// see identical inputs. The only canonicalization applied is to
 // Layer.Repeat, which is zeroed: Repeat weights a layer's cost in
 // model-level aggregates but never reaches the backend's per-evaluation
-// math, so shapes that differ only in repeat count share one entry.
+// math, so shapes that differ only in repeat count share one result.
+// The persistent cache builds its record keys from it (RecordKey); the
+// memo cache applies the same canonicalization to its pair tables.
 type Key struct {
 	Accel hw.Accel
 	Sched sched.Schedule
 	Layer workload.Layer
 }
 
-// CanonicalKey builds the cache key for one evaluation, applying the
+// CanonicalKey builds the key of one evaluation, applying the
 // canonicalization described on Key.
 func CanonicalKey(a hw.Accel, s sched.Schedule, l workload.Layer) Key {
 	l.Repeat = 0
 	return Key{Accel: a, Sched: s, Layer: l}
 }
 
-// Fingerprint folds a key into 64 bits with a splitmix64-style mixer.
-// The cache uses it only to pick a shard — entry identity is the full
-// Key, so fingerprint collisions cost contention, never correctness.
-func Fingerprint(k Key) uint64 {
-	z := uint64(0x5307159b0a575e11)
-	for _, v := range [...]int{k.Accel.PEs, k.Accel.Width, k.Accel.SIMDLanes,
-		k.Accel.RFKB, k.Accel.L2KB, k.Accel.NoCBW} {
-		z = fpMix(z, uint64(v))
+// schedKey is a lossless, pointer-free packing of a sched.Schedule: the
+// seven T2 tiles, the seven T1 tiles, then the two loop orders and the
+// two unrolls as 4-bit fields, four to a word. Equal keys mean equal
+// schedules.
+type schedKey [2*workload.NumDims + 4]uint16
+
+// packSchedule packs s. It reports false when a tile falls outside
+// [0, 65535] or a dimension outside [0, 15]; such a schedule is
+// evaluated without being memoized.
+func packSchedule(s *sched.Schedule) (k schedKey, ok bool) {
+	const n = workload.NumDims
+	var tiles, dims uint
+	for i := 0; i < n; i++ {
+		t2, t1 := uint(s.T2[i]), uint(s.T1[i]) // a negative tile wraps out of range
+		tiles |= t2 | t1
+		k[i], k[n+i] = uint16(t2), uint16(t1)
 	}
-	for i := 0; i < workload.NumDims; i++ {
-		z = fpMix(z, uint64(k.Sched.T2[i]))
-		z = fpMix(z, uint64(k.Sched.T1[i]))
-		z = fpMix(z, uint64(k.Sched.OuterOrder[i]))
-		z = fpMix(z, uint64(k.Sched.InnerOrder[i]))
+	var d uint64
+	for i := 0; i < n; i++ {
+		o, in := uint(s.OuterOrder[i]), uint(s.InnerOrder[i])
+		dims |= o | in
+		d |= uint64(o)<<(4*i) | uint64(in)<<(4*(n+i))
 	}
-	z = fpMix(z, uint64(k.Sched.OuterUnroll))
-	z = fpMix(z, uint64(k.Sched.InnerUnroll))
-	for _, c := range k.Layer.Name {
-		z = fpMix(z, uint64(c))
-	}
-	for _, v := range [...]int{int(k.Layer.Op), k.Layer.N, k.Layer.K, k.Layer.C,
-		k.Layer.R, k.Layer.S, k.Layer.X, k.Layer.Y,
-		k.Layer.StrideX, k.Layer.StrideY, k.Layer.Repeat} {
-		z = fpMix(z, uint64(v))
-	}
-	return z
+	ou, iu := uint(s.OuterUnroll), uint(s.InnerUnroll)
+	dims |= ou | iu
+	d |= uint64(ou)<<(8*n) | uint64(iu)<<(8*n+4)
+	k[2*n], k[2*n+1], k[2*n+2], k[2*n+3] = uint16(d), uint16(d>>16), uint16(d>>32), uint16(d>>48)
+	return k, tiles <= math.MaxUint16 && dims <= 0xF
 }
 
-// fpMix is a splitmix64-style finalizer folding s into state z, the same
-// construction core and resilience use for seed derivation.
-func fpMix(z, s uint64) uint64 {
-	z ^= s + 0x9e3779b97f4a7c15 + (z << 6) + (z >> 2)
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+// slotState is the life cycle of one result slot.
+type slotState uint8
+
+const (
+	slotInFlight  slotState = iota // a leader is evaluating it
+	slotValid                      // memoized success
+	slotInvalid                    // memoized ErrInvalid verdict
+	slotWithdrawn                  // the leader's outcome was not memoizable
+)
+
+// chunkSlots is the number of result slots per arena chunk (about 35 KB).
+const chunkSlots = 256
+
+// slotChunk is a fixed block of result slots: each slot's cost and
+// state. Slots never move, so a growing arena copies only its chunk
+// list.
+type slotChunk struct {
+	costs [chunkSlots]maestro.Cost
+	state [chunkSlots]slotState
 }
 
-// cacheEntry is one memoized (or in-flight) evaluation. done is closed
-// when cost/err are final; keep reports whether the outcome was
-// memoizable (followers of a non-kept entry re-evaluate themselves).
-type cacheEntry struct {
-	done chan struct{}
-	cost maestro.Cost
-	err  error
-	keep bool
+// slotArena is the append-only, pointer-free result storage shared by
+// every pair table of a cache. A slot belongs to the pair table that
+// claimed it, and that table's lock guards its contents. A new chunk
+// starts zeroed, that is, with every slot in flight.
+type slotArena struct {
+	n      atomic.Uint32
+	mu     sync.Mutex // serializes adding chunks
+	chunks atomic.Pointer[[]*slotChunk]
 }
 
-// cacheShard is one locked segment of the memo table.
-type cacheShard struct {
-	mu sync.Mutex
-	m  map[Key]*cacheEntry
+// claim reserves a new in-flight slot.
+func (r *slotArena) claim() uint32 {
+	s := r.n.Add(1) - 1
+	if cs := r.chunks.Load(); cs == nil || int(s/chunkSlots) >= len(*cs) {
+		r.grow(s)
+	}
+	return s
+}
+
+// grow adds chunks until slot s exists. Appending never writes an
+// entry that a reader of an older chunk list can see.
+func (r *slotArena) grow(s uint32) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var cs []*slotChunk
+	if p := r.chunks.Load(); p != nil {
+		cs = *p
+	}
+	for int(s/chunkSlots) >= len(cs) {
+		cs = append(cs, new(slotChunk))
+	}
+	r.chunks.Store(&cs)
+}
+
+// chunk returns the chunk holding claimed slot s and s's offset in it.
+func (r *slotArena) chunk(s uint32) (*slotChunk, uint32) {
+	return (*r.chunks.Load())[s/chunkSlots], s % chunkSlots
+}
+
+// pairTable memoizes the evaluations of one (accelerator, layer) pair:
+// an index from packed schedule to arena slot, and the verdicts of the
+// invalid slots. Key and value hold no pointers, so the collector never
+// scans the index. A withdrawn slot (a fault, or a leader panic) stays
+// indexed until the next claim of its schedule replaces it. mu guards
+// the table and the contents of its slots.
+type pairTable struct {
+	mu      sync.Mutex
+	settled sync.Cond // broadcast when a leader round settles its slots
+	slots   *slotArena
+
+	index   map[schedKey]uint32 // schedule → slot
+	invalid map[uint32]error    // the verdict of each slotInvalid slot
+}
+
+func newPairTable(slots *slotArena) *pairTable {
+	t := &pairTable{slots: slots, index: make(map[schedKey]uint32)}
+	t.settled.L = &t.mu
+	return t
+}
+
+func (t *pairTable) state(s uint32) slotState {
+	ch, i := t.slots.chunk(s)
+	return ch.state[i]
+}
+
+// result is the memoized outcome of settled slot s; ok is false when
+// its leader withdrew it.
+func (t *pairTable) result(s uint32) (cost maestro.Cost, err error, ok bool) {
+	ch, i := t.slots.chunk(s)
+	switch ch.state[i] {
+	case slotWithdrawn:
+		return maestro.Cost{}, nil, false
+	case slotInvalid:
+		err = t.invalid[s]
+	}
+	return ch.costs[i], err, true
+}
+
+// settle publishes the leaders' results in m: successes and ErrInvalid
+// verdicts are memoized, every other outcome is withdrawn. It wakes the
+// followers waiting on t and returns how many results it memoized.
+func (t *pairTable) settle(m *cacheMiss) (kept int64) {
+	t.mu.Lock()
+	for j, s := range m.slots {
+		if s == noSlot {
+			continue
+		}
+		ch, i := t.slots.chunk(s)
+		switch err := m.errs[j]; {
+		case err == nil:
+			ch.state[i] = slotValid
+		case errors.Is(err, maestro.ErrInvalid):
+			if t.invalid == nil {
+				t.invalid = make(map[uint32]error)
+			}
+			t.invalid[s] = err
+			ch.state[i] = slotInvalid
+		default:
+			ch.state[i] = slotWithdrawn
+			continue
+		}
+		ch.costs[i] = m.costs[j]
+		kept++
+	}
+	t.mu.Unlock()
+	t.settled.Broadcast()
+	return kept
+}
+
+// abandon withdraws every slot m leads, after the inner round panicked,
+// and releases their followers.
+func (t *pairTable) abandon(m *cacheMiss) {
+	t.mu.Lock()
+	for _, s := range m.slots {
+		if s != noSlot {
+			ch, i := t.slots.chunk(s)
+			ch.state[i] = slotWithdrawn
+		}
+	}
+	t.mu.Unlock()
+	t.settled.Broadcast()
 }
 
 // Cache memoizes evaluations of its inner evaluator, keyed on the
@@ -99,9 +215,11 @@ type cacheShard struct {
 // search runtime re-evaluates many identical triples: BO reruns propose
 // duplicate schedules, checkpoint replays re-walk old samples, and the
 // Pareto/figure harnesses re-cost the same designs across
-// configurations. The table is sharded for concurrency and deduplicates
-// in-flight work single-flight style: when several workers ask for the
-// same key at once, one evaluates and the rest wait for its result.
+// configurations. A round carries one (accelerator, layer) pair, so the
+// cache keeps one table per pair, resolved once per round, and keys
+// each item by its packed schedule. Single-flight deduplicates in-flight
+// work: when several workers ask for the same triple at once, one
+// evaluates and the rest wait for its result.
 //
 // Memoization preserves the evaluator contract bit-exactly: a hit
 // returns the identical maestro.Cost value and the identical error the
@@ -116,7 +234,9 @@ type cacheShard struct {
 // The zero value is not usable; build one with WithCache.
 type Cache struct {
 	inner  core.Evaluator
-	shards [cacheShards]cacheShard
+	mu     sync.Mutex                                 // guards layers
+	layers map[workload.Layer]map[hw.Accel]*pairTable // Repeat zeroed
+	slots  slotArena
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -134,11 +254,7 @@ func (c *Cache) SetTracer(tr obs.Tracer) { c.tr = tr }
 // WithCache returns the memo-cache middleware.
 func WithCache() Middleware {
 	return func(inner core.Evaluator) core.Evaluator {
-		c := &Cache{inner: inner}
-		for i := range c.shards {
-			c.shards[i].m = make(map[Key]*cacheEntry)
-		}
-		return c
+		return &Cache{inner: inner, layers: make(map[workload.Layer]map[hw.Accel]*pairTable)}
 	}
 }
 
@@ -157,16 +273,48 @@ func (c *Cache) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestr
 	return costs[0], errs[0]
 }
 
+// table returns the pair table of (a, l), creating it on first use.
+func (c *Cache) table(a hw.Accel, l workload.Layer) *pairTable {
+	l.Repeat = 0
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	byAccel := c.layers[l]
+	if byAccel == nil {
+		byAccel = make(map[hw.Accel]*pairTable)
+		c.layers[l] = byAccel
+	}
+	t := byAccel[a]
+	if t == nil {
+		t = newPairTable(&c.slots)
+		byAccel[a] = t
+	}
+	return t
+}
+
+// itemRole is what one item of a round does.
+type itemRole uint8
+
+const (
+	roleHit      itemRole = iota // answered from a settled slot
+	roleMiss                     // in this round's miss set, leading its slot if it has one
+	roleFollower                 // found its slot in flight: waits for the leader
+	roleRetry                    // its leader withdrew the slot: evaluated again alone
+)
+
+// stackRound is the largest round whose per-item state lives on the
+// stack; larger rounds take it from a pool.
+const stackRound = 8
+
 // EvaluateRound implements core.RoundEvaluator with memoization and
-// single-flight deduplication. The round is partitioned into memoized
-// hits, a miss set this call leads, and followers of in-flight entries
-// (other callers' or this very round's leaders, for duplicate keys).
-// The misses go to the inner evaluator as ONE round; followers are
-// resolved only after the leaders publish, which is what makes in-round
-// duplicates safe — a follower of its own round's leader would
-// otherwise deadlock waiting on work that has not been submitted yet.
-// An in-round duplicate counts as coalesced+hit, because it genuinely
-// waited on the in-flight leader.
+// single-flight deduplication. Under one lock of the pair's table, the
+// round is partitioned into hits (answered on the spot), a miss set
+// this call leads, and followers of in-flight slots (other callers' or
+// this very round's leaders, for duplicate schedules). The misses go to
+// the inner evaluator as ONE round; followers are resolved only after
+// the leaders publish, which is what makes in-round duplicates safe — a
+// follower of its own round's leader would otherwise deadlock waiting
+// on work that has not been submitted yet. An in-round duplicate counts
+// as coalesced+hit, because it genuinely waited on the in-flight leader.
 //
 // The cache.hit/miss/leaderpanic events this call emits are parented
 // under sp and delivered to sp's sink, so on a shared pipeline each job
@@ -176,61 +324,67 @@ func (c *Cache) Evaluate(a hw.Accel, s sched.Schedule, l workload.Layer) (maestr
 func (c *Cache) EvaluateRound(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l workload.Layer,
 	costs []maestro.Cost, errs []error) {
 
-	// Per-item state: on the stack for a round of one, the common case;
-	// pooled for larger rounds. The miss set is pooled too, and taken
-	// only when there is a miss.
-	var ent1 [1]*cacheEntry
-	var flag1 [1]uint8
-	sc := cacheScratch{ents: ent1[:], flags: flag1[:]}
-	if len(ss) > 1 {
-		pooled := cacheScratchPool.Get().(*cacheScratch)
-		defer cacheScratchPool.Put(pooled)
-		pooled.reset(len(ss))
-		sc = *pooled
+	if len(ss) == 0 {
+		return
 	}
-	var miss *missSet
+	t := c.table(a, l)
+	var slotBuf [stackRound]uint32
+	var roleBuf [stackRound]itemRole
+	slots, roles := slotBuf[:], roleBuf[:]
+	if len(ss) > stackRound {
+		sc := roundScratchPool.Get().(*roundScratch)
+		defer roundScratchPool.Put(sc)
+		slots, roles = sc.reset(len(ss))
+	}
+	var miss *cacheMiss
+	var follow int
 
-	// Phase 1: register every item, becoming leader or follower per key.
+	// Phase 1: answer every settled slot and claim every new schedule.
+	t.mu.Lock()
 	for i := range ss {
-		key := CanonicalKey(a, ss[i], l)
-		shard := &c.shards[Fingerprint(key)&(cacheShards-1)]
-		shard.mu.Lock()
-		if e, ok := shard.m[key]; ok {
-			shard.mu.Unlock()
-			sc.ents[i] = e
-			select {
-			case <-e.done:
-			default:
-				sc.flags[i] |= flagInFlight
+		k, ok := packSchedule(&ss[i])
+		slot := uint32(noSlot)
+		if ok {
+			s, indexed := t.index[k]
+			st := slotWithdrawn
+			if indexed {
+				st = t.state(s)
 			}
-			continue
+			switch st {
+			case slotInFlight:
+				slots[i], roles[i] = s, roleFollower
+				follow++
+				continue
+			case slotValid, slotInvalid:
+				roles[i] = roleHit
+				costs[i], errs[i], _ = t.result(s)
+				continue
+			}
+			slot = t.slots.claim()
+			t.index[k] = slot
 		}
-		e := &cacheEntry{done: make(chan struct{})}
-		shard.m[key] = e
-		shard.mu.Unlock()
-		sc.ents[i] = e
-		sc.flags[i] |= flagLeader
+		roles[i] = roleMiss
 		if miss == nil {
-			miss = missSets.Get().(*missSet)
+			miss = cacheMisses.Get().(*cacheMiss)
 			miss.reset()
 		}
-		miss.add(i, ss[i])
+		miss.add(i, ss[i], slot)
 	}
+	t.mu.Unlock()
 
 	// Phase 2: one inner round for all misses. If the inner evaluator
-	// panics (no guard below the cache), every unpublished leader entry
-	// is withdrawn and released before the panic propagates, so
-	// followers retry instead of blocking forever.
+	// panics (no guard below the cache), every slot this round leads is
+	// withdrawn and its followers released before the panic propagates,
+	// so they retry instead of blocking forever.
 	if miss != nil {
 		finished := false
 		defer func() {
 			if finished {
 				return
 			}
-			for _, i := range miss.idx {
-				c.withdraw(a, ss[i], l)
-				close(sc.ents[i].done)
-				if obs.Active(sp, c.tr) {
+			t.abandon(miss)
+			if obs.Active(sp, c.tr) {
+				for range miss.idx {
 					sp.EmitTo(c.tr, obs.Event{Type: obs.CachePanic})
 				}
 			}
@@ -238,88 +392,78 @@ func (c *Cache) EvaluateRound(sp *obs.Span, a hw.Accel, ss []sched.Schedule, l w
 		miss.evaluate(c.inner, sp, a, l)
 		finished = true
 
-		// Phase 3: publish the leaders' results. Successes and
-		// ErrInvalid verdicts are kept; any other outcome is withdrawn.
+		// Phase 3: publish the leaders' results.
+		if kept := t.settle(miss); kept > 0 {
+			c.entries.Add(kept)
+		}
+		c.misses.Add(int64(len(miss.idx)))
 		for j, i := range miss.idx {
-			e := sc.ents[i]
-			e.cost, e.err = miss.costs[j], miss.errs[j]
-			e.keep = e.err == nil || errors.Is(e.err, maestro.ErrInvalid)
-			if e.keep {
-				c.entries.Add(1)
-			} else {
-				c.withdraw(a, ss[i], l)
-			}
-			c.misses.Add(1)
 			if obs.Active(sp, c.tr) {
 				sp.EmitTo(c.tr, obs.Event{Type: obs.CacheMiss})
 			}
-			close(e.done)
-			costs[i], errs[i] = e.cost, e.err
+			costs[i], errs[i] = miss.costs[j], miss.errs[j]
 		}
-		missSets.Put(miss)
+		cacheMisses.Put(miss)
 	}
 
 	// Phase 4: resolve followers, now that every leader in this round
-	// has published. A withdrawn entry (non-memoizable outcome, or its
-	// leader panicked) sends the follower round again on its own, where
-	// it retries as a leader.
+	// has published. A follower whose leader withdrew the slot
+	// (non-memoizable outcome, or a leader panic) sends its item round
+	// again on its own, where it retries as a leader.
+	if follow > 0 {
+		t.mu.Lock()
+		for i := range ss {
+			if roles[i] != roleFollower {
+				continue
+			}
+			s := slots[i]
+			for t.state(s) == slotInFlight {
+				t.settled.Wait()
+			}
+			var ok bool
+			if costs[i], errs[i], ok = t.result(s); !ok {
+				roles[i] = roleRetry
+			}
+		}
+		t.mu.Unlock()
+		c.coalesced.Add(int64(follow))
+	}
+	var hits int64
 	for i := range ss {
-		if sc.flags[i]&flagLeader != 0 {
-			continue
-		}
-		e := sc.ents[i]
-		if sc.flags[i]&flagInFlight != 0 {
-			<-e.done // phase 1 saw every other entry already resolved
-			c.coalesced.Add(1)
-		}
-		if !e.keep {
+		switch roles[i] {
+		case roleHit, roleFollower:
+			hits++
+			if obs.Active(sp, c.tr) {
+				sp.EmitTo(c.tr, obs.Event{Type: obs.CacheHit})
+			}
+		case roleRetry:
 			c.EvaluateRound(sp, a, ss[i:i+1], l, costs[i:i+1], errs[i:i+1])
-			continue
 		}
-		c.hits.Add(1)
-		if obs.Active(sp, c.tr) {
-			sp.EmitTo(c.tr, obs.Event{Type: obs.CacheHit})
-		}
-		costs[i], errs[i] = e.cost, e.err
+	}
+	if hits > 0 {
+		c.hits.Add(hits)
 	}
 }
 
-// withdraw removes the entry of one evaluation from its shard. It
-// recomputes the key: withdrawals are rare (faults and panics), so the
-// round does not keep every key around for them.
-func (c *Cache) withdraw(a hw.Accel, s sched.Schedule, l workload.Layer) {
-	key := CanonicalKey(a, s, l)
-	shard := &c.shards[Fingerprint(key)&(cacheShards-1)]
-	shard.mu.Lock()
-	delete(shard.m, key)
-	shard.mu.Unlock()
+// roundScratch is the per-item state of a round too large for the
+// stack: slots and roles.
+type roundScratch struct {
+	slots []uint32
+	roles []itemRole
 }
 
-// cacheScratch is the per-item working set of Cache.EvaluateRound:
-// entry pointers and role flags.
-type cacheScratch struct {
-	ents  []*cacheEntry
-	flags []uint8
-}
+var roundScratchPool = sync.Pool{New: func() any { return new(roundScratch) }}
 
-// role flags for cacheScratch.flags.
-const (
-	flagLeader   uint8 = 1 << iota // this call owns the entry and must publish it
-	flagInFlight                   // follower found the entry unresolved (counts as coalesced)
-)
-
-var cacheScratchPool = sync.Pool{New: func() any { return new(cacheScratch) }}
-
-func (b *cacheScratch) reset(n int) {
-	if cap(b.ents) < n {
-		b.ents = make([]*cacheEntry, n)
-		b.flags = make([]uint8, n)
+func (b *roundScratch) reset(n int) ([]uint32, []itemRole) {
+	if cap(b.slots) < n {
+		b.slots = make([]uint32, n)
+		b.roles = make([]itemRole, n)
 	}
-	b.ents = b.ents[:n]
-	b.flags = b.flags[:n]
-	clear(b.ents)
-	clear(b.flags)
+	return b.slots[:n], b.roles[:n]
 }
+
+// noSlot marks a miss that does not pack, so no slot backs it.
+const noSlot = math.MaxUint32
 
 // missSet is the part of a round a memo layer could not answer: each
 // miss's position in the round, its schedule, and room for its result,
@@ -330,8 +474,6 @@ type missSet struct {
 	costs []maestro.Cost
 	errs  []error
 }
-
-var missSets = sync.Pool{New: func() any { return new(missSet) }}
 
 func (m *missSet) reset() {
 	clear(m.errs)
@@ -353,6 +495,25 @@ func (m *missSet) evaluate(inner core.Evaluator, sp *obs.Span, a hw.Accel, l wor
 	}
 	m.costs, m.errs = m.costs[:n], m.errs[:n]
 	core.EvaluateRound(inner, sp, a, m.ss, l, m.costs, m.errs)
+}
+
+// cacheMiss is the miss set of one Cache round with the slot each miss
+// leads (noSlot when its schedule does not pack).
+type cacheMiss struct {
+	missSet
+	slots []uint32
+}
+
+var cacheMisses = sync.Pool{New: func() any { return new(cacheMiss) }}
+
+func (m *cacheMiss) reset() {
+	m.missSet.reset()
+	m.slots = m.slots[:0]
+}
+
+func (m *cacheMiss) add(i int, s sched.Schedule, slot uint32) {
+	m.missSet.add(i, s)
+	m.slots = append(m.slots, slot)
 }
 
 // evaluateOne is the round of one behind each middleware's Evaluate.

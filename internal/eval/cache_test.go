@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -71,12 +72,43 @@ func costBitsEqual(x, y maestro.Cost) bool {
 	return true
 }
 
+// unpackedTriples are inputs at and past the edges of the memo cache's
+// schedule packing, next to the valid schedule they are edited from:
+// tiles wider than 16 bits, zero and negative tiles, and loop dimensions
+// outside [0, NumDims), some inside the 4-bit field and some outside.
+// Several of them alias the valid schedule if packed with truncation.
+// Each appears twice.
+func unpackedTriples(seed int64) []triple {
+	base := randomTriples(seed, 1)[0]
+	edits := []func(s *sched.Schedule){
+		func(s *sched.Schedule) {},
+		func(s *sched.Schedule) { s.T2[0] += 1 << 16 },
+		func(s *sched.Schedule) { s.T1[workload.NumDims-1] = 70000 },
+		func(s *sched.Schedule) { s.T2[1] = 0 },
+		func(s *sched.Schedule) { s.T1[2] = -1 },
+		func(s *sched.Schedule) { s.T1[3] -= 1 << 16 },
+		func(s *sched.Schedule) { s.OuterOrder[0] += 16 },
+		func(s *sched.Schedule) { s.OuterOrder[1] = workload.NumDims },
+		func(s *sched.Schedule) { s.InnerOrder[3] = 15 },
+		func(s *sched.Schedule) { s.OuterUnroll = -1 },
+		func(s *sched.Schedule) { s.InnerUnroll += 16 },
+	}
+	var out []triple
+	for _, edit := range edits {
+		tr := base
+		edit(&tr.s)
+		out = append(out, tr, tr)
+	}
+	return out
+}
+
 // TestCachedPipelineMatchesBareBackend is the satellite property test: a
 // cached pipeline must return byte-identical costs and identically
 // classified errors to the bare backend, for every input, including when
-// many goroutines hit the same keys concurrently (run under -race).
+// many goroutines hit the same keys concurrently (run under -race), and
+// for inputs the cache cannot pack and so passes through unmemoized.
 func TestCachedPipelineMatchesBareBackend(t *testing.T) {
-	cases := randomTriples(42, 60)
+	cases := append(randomTriples(42, 60), unpackedTriples(43)...)
 	bare := maestro.New()
 	type expectation struct {
 		cost    maestro.Cost
@@ -253,6 +285,55 @@ func TestLeaderPanicWithdrawsEntry(t *testing.T) {
 	}
 }
 
+// TestLeaderPanicReleasesFollowers: callers waiting on a leader whose
+// inner evaluation panics are woken when its slot is withdrawn, and
+// retry instead of blocking forever or sharing the dead result.
+func TestLeaderPanicReleasesFollowers(t *testing.T) {
+	const followers = 7
+	var arrived atomic.Int64
+	release := make(chan struct{})
+	var calls atomic.Int64
+	fake := &fakeEval{fn: func() (maestro.Cost, error) {
+		if calls.Add(1) == 1 {
+			<-release
+			panic("backend crash")
+		}
+		return maestro.Cost{DelayCycles: 2}, nil
+	}}
+	cache := WithCache()(fake).(*Cache)
+	tr := randomTriples(8, 1)[0]
+
+	var panics atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < followers+1; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if recover() != nil {
+					panics.Add(1)
+				}
+			}()
+			arrived.Add(1)
+			cost, err := cache.Evaluate(tr.a, tr.s, tr.l)
+			if err != nil || cost.DelayCycles != 2 {
+				t.Errorf("follower got %+v, %v", cost, err)
+			}
+		}()
+	}
+	for arrived.Load() < followers+1 {
+	}
+	close(release)
+	wg.Wait()
+
+	if got := panics.Load(); got != 1 {
+		t.Fatalf("%d callers saw the panic, want 1 (the leader)", got)
+	}
+	if snap := cache.Snapshot(); snap.Entries != 1 || snap.Hits+snap.Misses != followers {
+		t.Fatalf("snapshot = %+v, want 1 entry and %d answered calls", snap, followers)
+	}
+}
+
 func TestCanonicalKeyIgnoresRepeat(t *testing.T) {
 	fake := &fakeEval{fn: func() (maestro.Cost, error) { return maestro.Cost{DelayCycles: 3}, nil }}
 	cache := WithCache()(fake).(*Cache)
@@ -274,20 +355,102 @@ func TestCanonicalKeyIgnoresRepeat(t *testing.T) {
 	}
 }
 
-func TestFingerprintIsDeterministic(t *testing.T) {
-	trs := randomTriples(6, 20)
-	for _, tr := range trs {
-		k := CanonicalKey(tr.a, tr.s, tr.l)
-		if Fingerprint(k) != Fingerprint(k) {
-			t.Fatal("fingerprint not deterministic")
+// hasPointers reports whether a value of type t holds anything the
+// garbage collector must scan.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Array:
+		return t.Len() > 0 && hasPointers(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	}
+	return true
+}
+
+// TestMemoStorageIsPointerFree: the per-item key, the per-item index
+// entry and the result storage of the memo cache hold no pointers, so
+// the collector never scans them however many results a search
+// memoizes, and the packed key stays within 128 bytes.
+func TestMemoStorageIsPointerFree(t *testing.T) {
+	for _, typ := range []reflect.Type{
+		reflect.TypeOf(schedKey{}),
+		reflect.TypeOf(pairTable{}.index).Elem(),
+		reflect.TypeOf(slotChunk{}),
+	} {
+		if hasPointers(typ) {
+			t.Errorf("%s holds pointers", typ)
 		}
 	}
-	// Not a collision-freedom guarantee — just a sanity check that the
-	// mixer actually differentiates nearby keys.
-	k1 := CanonicalKey(trs[0].a, trs[0].s, trs[0].l)
-	k2 := k1
-	k2.Layer.K++
-	if Fingerprint(k1) == Fingerprint(k2) {
-		t.Fatal("adjacent keys share a fingerprint")
+	if n := reflect.TypeOf(schedKey{}).Size(); n > 128 {
+		t.Errorf("schedKey is %d bytes, want at most 128", n)
 	}
+	if hasPointers(reflect.TypeOf(sched.Schedule{})) {
+		t.Fatal("hasPointers misses a pointer-free struct")
+	}
+	if !hasPointers(reflect.TypeOf(struct{ err error }{})) {
+		t.Fatal("hasPointers misses an interface field")
+	}
+}
+
+// TestMemoRetainedHeapPerEntry bounds what the memo cache keeps alive
+// per memoized valid result, measured after a full collection on
+// search-shaped input: many distinct schedules per (accelerator, layer)
+// pair, arriving in rounds of three.
+func TestMemoRetainedHeapPerEntry(t *testing.T) {
+	const pairs, perPair, round, budget = 32, 240, 3, 400
+	groups := groupTriples(randomTriples(31, pairs))
+	if len(groups) < pairs {
+		t.Fatalf("%d distinct pairs drawn, want %d", len(groups), pairs)
+	}
+	bases := make([]triple, pairs)
+	scheds := make([][]sched.Schedule, pairs)
+	for p := range bases {
+		bases[p] = groups[p].a
+		scheds[p] = distinctSchedules(bases[p], perPair)
+	}
+	var n atomic.Int64
+	fake := &fakeEval{fn: func() (maestro.Cost, error) {
+		return maestro.Cost{DelayCycles: float64(n.Add(1))}, nil
+	}}
+	costs, errs := make([]maestro.Cost, round), make([]error, round)
+
+	before := liveHeap()
+	cache := WithCache()(fake).(*Cache)
+	for p, base := range bases {
+		for j := 0; j < perPair; j += round {
+			cache.EvaluateRound(nil, base.a, scheds[p][j:j+round], base.l, costs, errs)
+		}
+	}
+	after := liveHeap()
+	runtime.KeepAlive(cache)
+	runtime.KeepAlive(scheds) // the inputs must not count as freed
+
+	entries := cache.Snapshot().Entries
+	if entries != pairs*perPair {
+		t.Fatalf("%d entries memoized, want %d distinct schedules", entries, pairs*perPair)
+	}
+	per := float64(int64(after)-int64(before)) / float64(entries)
+	t.Logf("%.0f B retained per memoized result (%d results over %d pairs)", per, entries, pairs)
+	if per > budget {
+		t.Fatalf("memo cache retains %.0f B per memoized result, want at most %d", per, budget)
+	}
+}
+
+// liveHeap is the heap in use after a full collection. Two collections
+// also empty the sync.Pool victim caches.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

@@ -13,10 +13,10 @@
 //     self-register.
 //   - A middleware chain: Chain(backend, mw...) wraps a backend in
 //     layers that each preserve the evaluator contract. The bundled
-//     middlewares are WithCache (a sharded, concurrency-safe memo cache
-//     with single-flight deduplication), WithStats (atomic per-backend
-//     eval/invalid/error/latency counters), and WithGuard (the
-//     resilience.Guard panic/timeout/retry policy).
+//     middlewares are WithCache (a concurrency-safe memo cache with one
+//     table per accelerator-layer pair and single-flight deduplication),
+//     WithStats (atomic per-backend eval/invalid/error/latency counters),
+//     and WithGuard (the resilience.Guard panic/timeout/retry policy).
 //   - A spec language: FromSpec("sim,cache,guard") builds the whole
 //     pipeline from one flag-friendly string, which is how the CLIs and
 //     the experiment harness configure evaluation.

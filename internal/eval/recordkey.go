@@ -22,11 +22,11 @@ const recordKeyPrefix = "spotlight/evalkey"
 // RecordKey is the canonical content address of one evaluation in the
 // persistent disk cache: the SHA-256 of a fixed, explicitly-serialized
 // encoding of (backend name, backend cost-model fingerprint, canonical
-// evaluation key). Unlike Fingerprint — a 64-bit shard selector whose
-// collisions are harmless — RecordKey IS the stored identity, so it
-// hashes an unambiguous byte layout (every variable-length field is
-// length-prefixed) and must be stable across processes, architectures,
-// and releases. Pass a CanonicalKey-produced key so Layer.Repeat is
+// evaluation key). Unlike the memo cache's index hash — whose
+// collisions cost a probe and whose seed changes per process — RecordKey
+// IS the stored identity, so it hashes an unambiguous byte layout (every
+// variable-length field is length-prefixed) and must be stable across
+// processes, architectures, and releases. Pass a CanonicalKey-produced key so Layer.Repeat is
 // canonicalized exactly as the in-memory cache does.
 func RecordKey(backend, fingerprint string, k Key) [32]byte {
 	return sha256.Sum256(recordKeyBytes(backend, fingerprint, k))

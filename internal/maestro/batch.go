@@ -18,10 +18,11 @@ import (
 // accelerator and layer validation run once per batch, the per-layer
 // context (dimension extents, capacity bounds, MAC count, the sqrt-based
 // energy coefficients) is built once, schedule validation is fused with
-// trip-count computation, and invalid schedules get lazy errors whose
-// messages are only formatted if something actually reads them. The
-// inner loop allocates nothing; the whole call allocates the two result
-// slices plus at most one error slab.
+// trip-count computation, and capacity-invalid schedules get lazy
+// errors whose messages are only formatted if something actually reads
+// them. For valid and capacity-invalid schedules the inner loop
+// allocates nothing; the whole call allocates the two result slices plus
+// at most one error slab.
 func (m *Model) EvaluateBatch(a hw.Accel, ss []sched.Schedule, l workload.Layer) ([]Cost, []error) {
 	costs := make([]Cost, len(ss))
 	errs := make([]error, len(ss))
@@ -59,7 +60,9 @@ func (m *Model) EvaluateBatch(a hw.Accel, ss []sched.Schedule, l workload.Layer)
 		s := &ss[i]
 		n2, n1, ok := s.TripCounts(ctx.sizes)
 		if !ok {
-			errs[i] = push(batchInvalid{op: invalidSched, s: *s, l: l})
+			// Structural failures are rare: their message is formatted
+			// now, so slab elements never carry a schedule or a layer.
+			errs[i] = fmt.Errorf("%w: %v", ErrInvalid, s.Validate(l))
 			continue
 		}
 		if rfNeed := sched.TileFootprint(l, s.T1); rfNeed > ctx.rfCap {
@@ -75,26 +78,26 @@ func (m *Model) EvaluateBatch(a hw.Accel, ss []sched.Schedule, l workload.Layer)
 	return costs, errs
 }
 
-// batchInvalidOp names which validity check a batched schedule failed.
-type batchInvalidOp int
+// batchInvalidOp names which capacity check a batched schedule failed.
+type batchInvalidOp uint8
 
 const (
-	invalidSched batchInvalidOp = iota // structural: Validate(l) fails
-	invalidRF                          // T1 footprint exceeds the PE register file
-	invalidL2                          // T2 footprint exceeds the scratchpad
+	invalidRF batchInvalidOp = iota // T1 footprint exceeds the PE register file
+	invalidL2                       // T2 footprint exceeds the scratchpad
 )
 
 // batchInvalid is the lazy counterpart of the fmt.Errorf-wrapped
-// ErrInvalid errors Evaluate returns: formatting is deferred to Error(),
+// capacity errors Evaluate returns: formatting is deferred to Error(),
 // so batches full of invalid candidates (the common case during random
 // search, per §IV of the paper) never pay for message construction the
 // searchers immediately discard. Error() reproduces the sequential
 // message byte-for-byte; Unwrap preserves errors.Is(err, ErrInvalid).
+//
+// An element is small and pointer-free: a memoized verdict keeps its
+// whole slab alive.
 type batchInvalid struct {
 	op   batchInvalidOp
-	s    sched.Schedule // structural failures re-run Validate for the reason
-	l    workload.Layer
-	need int64 // capacity failures: bytes needed ...
+	need int64 // bytes the tile needs ...
 	cap_ int64 // ... vs bytes available
 }
 
@@ -103,19 +106,10 @@ type batchInvalid struct {
 func (e *batchInvalid) Unwrap() error { return ErrInvalid }
 
 func (e *batchInvalid) Error() string {
-	switch e.op {
-	case invalidRF:
+	if e.op == invalidRF {
 		return fmt.Sprintf("%v: RF tile needs %d B, PE register file holds %d B",
 			ErrInvalid, e.need, e.cap_)
-	case invalidL2:
-		return fmt.Sprintf("%v: L2 working set needs %d B, scratchpad holds %d B",
-			ErrInvalid, e.need, e.cap_)
-	default:
-		// TripCounts only reports that the schedule is structurally
-		// invalid; recover the reason by re-running the full validation.
-		if err := e.s.Validate(e.l); err != nil {
-			return fmt.Sprintf("%v: %v", ErrInvalid, err)
-		}
-		return ErrInvalid.Error()
 	}
+	return fmt.Sprintf("%v: L2 working set needs %d B, scratchpad holds %d B",
+		ErrInvalid, e.need, e.cap_)
 }

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"spotlight/internal/hw"
 	"spotlight/internal/sched"
@@ -78,6 +80,20 @@ func TestEvaluateBatchMatchesSequential(t *testing.T) {
 		a := space.Random(rng)
 		l := layers[trial%len(layers)]
 		assertBatchMatchesSequential(t, m, a, batchCandidates(rng, a, l, 64), l)
+	}
+}
+
+// TestBatchInvalidIsSmall guards the lazy-error slab: a memoized
+// capacity verdict keeps its round's whole slab alive, so each element
+// must stay small and must not hold pointers for the collector to scan.
+func TestBatchInvalidIsSmall(t *testing.T) {
+	if n := unsafe.Sizeof(batchInvalid{}); n > 32 {
+		t.Fatalf("batchInvalid is %d bytes, want at most 32", n)
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(batchInvalid{})) {
+		if k := f.Type.Kind(); k != reflect.Uint8 && k != reflect.Int64 {
+			t.Fatalf("batchInvalid field %s has kind %s, want plain integers only", f.Name, k)
+		}
 	}
 }
 
