@@ -63,8 +63,8 @@ tracesmoke:
 	$(GO) test -run=NONE -bench=BenchmarkTraceOverhead -benchtime=1x ./internal/eval/...
 	$(GO) build -o /tmp/experiments ./cmd/experiments
 	$(GO) build -o /tmp/tracestat ./cmd/tracestat
-	/tmp/experiments -fig 6 -models MobileNetV2 -hw 4 -sw 6 -trials 1 -eval sim,cache,stats -out /tmp/untraced
-	/tmp/experiments -fig 6 -models MobileNetV2 -hw 4 -sw 6 -trials 1 -eval sim,cache,stats -out /tmp/traced -trace /tmp/run.jsonl
+	/tmp/experiments -fig 6 -models MobileNetV2 -hw 4 -sw 6 -trials 1 -eval sim,cache -out /tmp/untraced
+	/tmp/experiments -fig 6 -models MobileNetV2 -hw 4 -sw 6 -trials 1 -eval sim,cache -out /tmp/traced -trace /tmp/run.jsonl
 	cmp /tmp/untraced/fig6.csv /tmp/traced/fig6.csv
 	/tmp/tracestat -check /tmp/run.jsonl
 	/tmp/tracestat /tmp/run.jsonl
@@ -93,13 +93,13 @@ crashsmoke:
 	$(GO) build -o /tmp/experiments ./cmd/experiments
 	$(GO) build -o /tmp/tracestat ./cmd/tracestat
 	rm -rf /tmp/evalcache && mkdir -p /tmp/evalcache
-	/tmp/experiments -fig 6 -models MobileNetV2 -hw 4 -sw 6 -trials 1 -eval sim,cache,stats -cache-dir /tmp/evalcache -out /tmp/cachecold
-	/tmp/experiments -fig 6 -models MobileNetV2 -hw 4 -sw 6 -trials 1 -eval sim,cache,stats -cache-dir /tmp/evalcache -out /tmp/cachewarm -trace /tmp/warm.jsonl
+	/tmp/experiments -fig 6 -models MobileNetV2 -hw 4 -sw 6 -trials 1 -eval sim,cache -cache-dir /tmp/evalcache -out /tmp/cachecold
+	/tmp/experiments -fig 6 -models MobileNetV2 -hw 4 -sw 6 -trials 1 -eval sim,cache -cache-dir /tmp/evalcache -out /tmp/cachewarm -trace /tmp/warm.jsonl
 	cmp /tmp/cachecold/fig6.csv /tmp/cachewarm/fig6.csv
 	S=$$(stat -c %s /tmp/evalcache/sim-hybrid.journal); \
 	  head -c $$((S - 7)) /tmp/evalcache/sim-hybrid.journal > /tmp/evalcache/torn && \
 	  mv /tmp/evalcache/torn /tmp/evalcache/sim-hybrid.journal
-	/tmp/experiments -fig 6 -models MobileNetV2 -hw 4 -sw 6 -trials 1 -eval sim,cache,stats -cache-dir /tmp/evalcache -out /tmp/cacherecovered
+	/tmp/experiments -fig 6 -models MobileNetV2 -hw 4 -sw 6 -trials 1 -eval sim,cache -cache-dir /tmp/evalcache -out /tmp/cacherecovered
 	cmp /tmp/cachecold/fig6.csv /tmp/cacherecovered/fig6.csv
 	/tmp/tracestat -check /tmp/warm.jsonl
 	/tmp/tracestat /tmp/warm.jsonl | grep "persistent cache:"
@@ -113,13 +113,13 @@ crashsmoke:
 servesmoke:
 	$(GO) build -o /tmp/experiments ./cmd/experiments
 	$(GO) build -o /tmp/spotlightd ./cmd/spotlightd
-	/tmp/experiments -fig 6 -models MobileNetV2 -hw 4 -sw 6 -trials 1 -eval sim,cache,stats -out /tmp/clifig6
+	/tmp/experiments -fig 6 -models MobileNetV2 -hw 4 -sw 6 -trials 1 -eval sim,cache -out /tmp/clifig6
 	set -e; \
 	/tmp/spotlightd -addr 127.0.0.1:7077 -jobs 2 & SD=$$!; \
 	trap 'kill $$SD 2>/dev/null || true' EXIT; \
 	for i in $$(seq 50); do curl -sf http://127.0.0.1:7077/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
 	curl -sf http://127.0.0.1:7077/healthz >/dev/null; \
-	BODY='{"kind":"experiment","steps":["fig6"],"models":["MobileNetV2"],"hw_samples":4,"sw_samples":6,"trials":1,"eval":"sim,cache,stats"}'; \
+	BODY='{"kind":"experiment","steps":["fig6"],"models":["MobileNetV2"],"hw_samples":4,"sw_samples":6,"trials":1,"eval":"sim,cache"}'; \
 	curl -sf -X POST http://127.0.0.1:7077/jobs -d "$$BODY" >/dev/null; \
 	curl -sf -X POST http://127.0.0.1:7077/jobs -d "$$BODY" >/dev/null; \
 	curl -sN http://127.0.0.1:7077/jobs/job-1/trace | grep -q '^event: end'; \
@@ -146,7 +146,7 @@ metricssmoke:
 	trap 'kill $$SD 2>/dev/null || true' EXIT; \
 	for i in $$(seq 50); do curl -sf http://127.0.0.1:7078/healthz >/dev/null 2>&1 && break; sleep 0.2; done; \
 	curl -sf http://127.0.0.1:7078/healthz >/dev/null; \
-	BODY='{"kind":"experiment","steps":["fig6"],"models":["MobileNetV2"],"hw_samples":4,"sw_samples":6,"trials":1,"eval":"sim,cache,stats"}'; \
+	BODY='{"kind":"experiment","steps":["fig6"],"models":["MobileNetV2"],"hw_samples":4,"sw_samples":6,"trials":1,"eval":"sim,cache"}'; \
 	curl -sf -X POST http://127.0.0.1:7078/jobs -d "$$BODY" >/dev/null; \
 	for i in $$(seq 300); do curl -s http://127.0.0.1:7078/jobs/job-1 | grep -q '"state": "done"' && break; sleep 0.5; done; \
 	curl -s http://127.0.0.1:7078/jobs/job-1 | grep -q '"state": "done"'; \

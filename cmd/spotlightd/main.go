@@ -10,7 +10,7 @@
 // Examples:
 //
 //	spotlightd -addr 127.0.0.1:8077 -jobs 2 -cache-dir /var/cache/spotlight
-//	curl -s localhost:8077/jobs -d '{"kind":"experiment","steps":["fig6"],"eval":"sim,cache,stats"}'
+//	curl -s localhost:8077/jobs -d '{"kind":"experiment","steps":["fig6"],"eval":"sim,cache"}'
 //	curl -sN localhost:8077/jobs/job-1/trace
 package main
 

@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -153,6 +154,68 @@ func checkSpans(events []obs.Event) (total, open int, err error) {
 	return total, open, nil
 }
 
+// spanRec is one span of the tree summarize reconstructs from
+// span.start/span.end pairs. childDur accumulates the cumulative time of
+// direct children so self time is dur − childDur without a second pass.
+type spanRec struct {
+	kind     string
+	parent   int64
+	start    float64 // t_ms of span.start
+	dur      float64
+	childDur float64
+	children int
+	closed   bool
+}
+
+// leafCoverage returns how much of the closed root spans' time is
+// covered by their closed leaf spans, and the roots' total duration.
+// Concurrent leaves overlap, so coverage is the length of the union of
+// leaf intervals under each root, clipped to that root, never a sum of
+// durations. A span's interval starts at its span.start t_ms and lasts
+// its measured dur_ms.
+func leafCoverage(spans map[int64]*spanRec, order []int64) (covered, rootDur float64) {
+	type interval struct{ lo, hi float64 }
+	rootOf := func(s *spanRec) *spanRec {
+		for range spans { // bounded: a malformed trace may hold a parent cycle
+			p := spans[s.parent]
+			if p == nil {
+				break
+			}
+			s = p
+		}
+		return s
+	}
+	leaves := map[*spanRec][]interval{}
+	var roots []*spanRec
+	for _, id := range order {
+		s := spans[id]
+		if !s.closed {
+			continue
+		}
+		if spans[s.parent] == nil {
+			roots = append(roots, s)
+		}
+		if s.children == 0 {
+			root := rootOf(s)
+			leaves[root] = append(leaves[root], interval{s.start, s.start + s.dur})
+		}
+	}
+	for _, root := range roots {
+		rootDur += root.dur
+		ivs := leaves[root]
+		sort.Slice(ivs, func(i, j int) bool { return ivs[i].lo < ivs[j].lo })
+		end := root.start // covered up to here
+		for _, iv := range ivs {
+			lo, hi := math.Max(iv.lo, end), math.Min(iv.hi, root.start+root.dur)
+			if hi > lo {
+				covered += hi - lo
+				end = hi
+			}
+		}
+	}
+	return covered, rootDur
+}
+
 // summarize renders the full report.
 func summarize(r io.Reader, w io.Writer) error {
 	events, err := readTrace(r)
@@ -170,6 +233,18 @@ func summarize(r io.Reader, w io.Writer) error {
 	backendPaths := map[string]int{}
 	persistCounts := map[string]int{}
 	var batchCalls, batchedItems int
+	// Backend time and evaluation counts per eval scope: a round of one
+	// carries its duration on its eval.done, a multi-item round on its
+	// eval.batch (whose eval.done events carry none).
+	backendMS := map[string]float64{}
+	backendN := map[string]int{}
+	addBackend := func(scope string, ms float64, n int) {
+		if scope == "" {
+			scope = "(unscoped)"
+		}
+		backendMS[scope] += ms
+		backendN[scope] += n
+	}
 	type improvement struct {
 		sample int
 		best   float64
@@ -188,22 +263,10 @@ func summarize(r io.Reader, w io.Writer) error {
 		conv                []improvement
 	}
 	var runs []*runRec
-	// Span tree, reconstructed from span.start/span.end pairs. childDur
-	// accumulates the cumulative time of direct children so self time is
-	// cum − childDur without a second pass.
-	type spanRec struct {
-		kind     string
-		parent   int64
-		dur      float64
-		childDur float64
-		children int
-		closed   bool
-	}
 	spans := map[int64]*spanRec{}
 	var spanOrder []int64
-	// Individual evals, kept for the slowest-N list and per-backend
-	// attribution (Scope on eval.done is the backend name the eval
-	// middleware observed).
+	// Individual evals, kept for the slowest-N list (Scope on eval.done
+	// is the backend name the eval middleware observed).
 	type evalRec struct {
 		durMS   float64
 		outcome string
@@ -263,10 +326,12 @@ func summarize(r io.Reader, w io.Writer) error {
 			evalOutcomes[e.Detail]++
 			if e.DurMS > 0 {
 				evals = append(evals, evalRec{durMS: e.DurMS, outcome: e.Detail, scope: e.Scope, parent: e.Parent})
+				addBackend(e.Scope, e.DurMS, 1)
 			}
 		case obs.EvalBatch:
 			batchCalls++
 			batchedItems += e.N
+			addBackend(e.Scope, e.DurMS, e.N)
 		case obs.BackendPath:
 			backendPaths[e.Detail]++
 		case obs.CachePersist:
@@ -276,7 +341,7 @@ func summarize(r io.Reader, w io.Writer) error {
 			persistCounts[kind]++
 		case obs.SpanStart:
 			if _, seen := spans[e.Span]; !seen {
-				spans[e.Span] = &spanRec{kind: e.Detail, parent: e.Parent}
+				spans[e.Span] = &spanRec{kind: e.Detail, parent: e.Parent, start: e.TMS}
 				spanOrder = append(spanOrder, e.Span)
 				if p := spans[e.Parent]; p != nil {
 					p.children++
@@ -388,7 +453,6 @@ func summarize(r io.Reader, w io.Writer) error {
 		}
 		kinds := map[string]*kindAgg{}
 		var kindOrder []string
-		var rootDur, leafDur float64
 		for _, id := range spanOrder {
 			s := spans[id]
 			if !s.closed {
@@ -407,12 +471,6 @@ func summarize(r io.Reader, w io.Writer) error {
 				self = 0
 			}
 			agg.self += self
-			if spans[s.parent] == nil {
-				rootDur += s.dur
-			}
-			if s.children == 0 {
-				leafDur += s.dur
-			}
 		}
 		sort.Slice(kindOrder, func(i, j int) bool {
 			a, b := kinds[kindOrder[i]], kinds[kindOrder[j]]
@@ -427,9 +485,9 @@ func summarize(r io.Reader, w io.Writer) error {
 			agg := kinds[kind]
 			fmt.Fprintf(w, "  %-18s %5d %10.1f %10.1f\n", kind, agg.count, agg.cum, agg.self)
 		}
-		if rootDur > 0 {
+		if covered, rootDur := leafCoverage(spans, spanOrder); rootDur > 0 {
 			fmt.Fprintf(w, "critical path: leaf spans account for %.1f%% of the root span's %.1f ms\n",
-				100*leafDur/rootDur, rootDur)
+				100*covered/rootDur, rootDur)
 		}
 
 		if len(evals) > 0 {
@@ -450,27 +508,19 @@ func summarize(r io.Reader, w io.Writer) error {
 				}
 				fmt.Fprintf(w, "  %6.1f ms  %-8s %s%s\n", ev.durMS, ev.outcome, scope, in)
 			}
-			backendMS := map[string]float64{}
-			backendN := map[string]int{}
-			for _, ev := range evals {
-				scope := ev.scope
-				if scope == "" {
-					scope = "(unscoped)"
-				}
-				backendMS[scope] += ev.durMS
-				backendN[scope]++
-			}
-			names := make([]string, 0, len(backendMS))
-			for name := range backendMS { //lint:allow maporder(sorted before rendering, two lines down)
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			parts := make([]string, 0, len(names))
-			for _, name := range names {
-				parts = append(parts, fmt.Sprintf("%s=%.1f ms/%d evals", name, backendMS[name], backendN[name]))
-			}
-			fmt.Fprintf(w, "eval time by backend: %s\n", strings.Join(parts, "  "))
 		}
+	}
+	if len(backendN) > 0 {
+		names := make([]string, 0, len(backendN))
+		for name := range backendN { //lint:allow maporder(sorted before rendering, two lines down)
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		parts := make([]string, 0, len(names))
+		for _, name := range names {
+			parts = append(parts, fmt.Sprintf("%s=%.1f ms/%d evals", name, backendMS[name], backendN[name]))
+		}
+		fmt.Fprintf(w, "eval time by backend: %s\n", strings.Join(parts, "  "))
 	}
 	return nil
 }

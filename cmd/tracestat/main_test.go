@@ -83,6 +83,27 @@ func TestSummarizeSpanlessRunsInOrder(t *testing.T) {
 	}
 }
 
+// TestSummarizeOverlappingLeaves: two concurrent leaves under one root
+// cover the union of their intervals, not the sum of their durations
+// (which here would read 140%).
+func TestSummarizeOverlappingLeaves(t *testing.T) {
+	trace := `{"seq":1,"t_ms":0,"type":"span.start","span":1,"detail":"job"}
+{"seq":2,"t_ms":1,"type":"span.start","span":2,"parent":1,"detail":"sw.layer","layer":"m/a"}
+{"seq":3,"t_ms":2,"type":"span.start","span":3,"parent":1,"detail":"sw.layer","layer":"m/b"}
+{"seq":4,"t_ms":8,"type":"span.end","span":2,"parent":1,"detail":"sw.layer","dur_ms":7}
+{"seq":5,"t_ms":9,"type":"span.end","span":3,"parent":1,"detail":"sw.layer","dur_ms":7}
+{"seq":6,"t_ms":10,"type":"span.end","span":1,"detail":"job","dur_ms":10}
+`
+	var got bytes.Buffer
+	if err := summarize(strings.NewReader(trace), &got); err != nil {
+		t.Fatalf("summarize: %v", err)
+	}
+	want := "critical path: leaf spans account for 80.0% of the root span's 10.0 ms\n"
+	if !strings.Contains(got.String(), want) {
+		t.Errorf("report lacks %q:\n%s", want, got.String())
+	}
+}
+
 func TestCheckAcceptsGoldenTrace(t *testing.T) {
 	trace, err := os.ReadFile(filepath.Join("testdata", "mini.jsonl"))
 	if err != nil {
@@ -92,7 +113,7 @@ func TestCheckAcceptsGoldenTrace(t *testing.T) {
 	if err := checkTrace(bytes.NewReader(trace), &out); err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	if got, want := out.String(), "68 events: schema OK (12 spans, all closed)\n"; got != want {
+	if got, want := out.String(), "73 events: schema OK (12 spans, all closed)\n"; got != want {
 		t.Errorf("check output = %q, want %q", got, want)
 	}
 }

@@ -83,7 +83,7 @@ type JobSpec struct {
 	// Seed is the random seed; 0 means 1, the CLI default.
 	Seed int64 `json:"seed,omitempty"`
 	// Eval is the evaluation pipeline spec (eval.FromSpec syntax),
-	// e.g. "maestro" or "sim,cache,stats"; empty means "maestro".
+	// e.g. "maestro" or "sim,cache"; empty means "maestro".
 	Eval string `json:"eval,omitempty"`
 	// Workers bounds concurrent layer searches per hardware sample
 	// (0 = GOMAXPROCS). Results are bit-identical at any setting.

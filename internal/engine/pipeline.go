@@ -13,7 +13,7 @@ import (
 // or two concurrent spotlightd jobs — gets the same *eval.Pipeline, so
 // the memo cache (and the persistent disk journal under it) deduplicates
 // evaluations across all of them. Sharing is sound because cache and
-// stats layers are trajectory-neutral by the eval package's contract:
+// trace layers are trajectory-neutral by the eval package's contract:
 // a shared pipeline returns bit-identical results to a private one.
 type PipelineSet struct {
 	opts eval.SpecOptions
@@ -24,7 +24,7 @@ type PipelineSet struct {
 
 // NewPipelineSet returns an empty set. opts is the template every
 // pipeline is built with (tracer, cache directory, guard policy);
-// FromSpec's per-spec behavior — EnsureStats, diskcache insertion — is
+// FromSpec's per-spec behavior — trace and diskcache insertion — is
 // applied per Get.
 func NewPipelineSet(opts eval.SpecOptions) *PipelineSet {
 	return &PipelineSet{opts: opts, pipes: map[string]*eval.Pipeline{}}
@@ -50,18 +50,6 @@ func (ps *PipelineSet) Get(spec string) (*eval.Pipeline, error) {
 	return p, nil
 }
 
-// Report renders the stats/cache/disk counters of every pipeline in the
-// set, in spec order, for the CLIs' -eval-stats flag.
-func (ps *PipelineSet) Report() string {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	out := ""
-	for _, spec := range ps.sortedSpecs() {
-		out += ps.pipes[spec].Report()
-	}
-	return out
-}
-
 // Close flushes and closes every pipeline (today: their persistent cache
 // journals), in spec order, and marks the set closed. The first error is
 // returned; per the degradation contract it signals records that may not
@@ -79,8 +67,8 @@ func (ps *PipelineSet) Close() error {
 	return firstErr
 }
 
-// sortedSpecs returns the built specs sorted, so reporting and close
-// order are deterministic. Callers hold ps.mu.
+// sortedSpecs returns the built specs sorted, so close order is
+// deterministic. Callers hold ps.mu.
 func (ps *PipelineSet) sortedSpecs() []string {
 	specs := make([]string, 0, len(ps.pipes))
 	for spec := range ps.pipes { //lint:allow maporder(sorted before use on the next line)

@@ -79,13 +79,13 @@ func assertPipelineBatchMatchesBare(t *testing.T, p core.BatchEvaluator, groups 
 }
 
 // TestPipelineBatchMatchesBareBackend runs the full default middleware
-// stack (maestro,cache,stats + trace) through EvaluateBatch under 8
+// stack (maestro,cache + trace) through EvaluateBatch under 8
 // racing workers — the satellite-1 property at the eval layer. The
 // duplicated triples from randomTriples land as in-batch duplicate keys
 // and cross-worker races on the same entries.
 func TestPipelineBatchMatchesBareBackend(t *testing.T) {
 	rec := &recordingTracer{}
-	p := MustFromSpec("maestro,cache,stats", SpecOptions{Tracer: rec})
+	p := MustFromSpec("maestro,cache", SpecOptions{Tracer: rec})
 	groups := groupTriples(randomTriples(77, 48))
 
 	const workers = 8
@@ -110,10 +110,10 @@ func TestPipelineBatchMatchesBareBackend(t *testing.T) {
 	if snap.Hits == 0 {
 		t.Fatal("no cache hits despite duplicate keys across 8 workers")
 	}
-	// In "maestro,cache,stats" the stats layer sits outermost, so it
-	// counts request traffic: every batched item from every worker.
-	if st := p.Stats().Snapshot(); st.Evals != int64(workers*items) {
-		t.Fatalf("stats evals %d != %d batched requests", st.Evals, workers*items)
+	// The trace layer sits under the cache, so it counts backend work:
+	// exactly the cache's misses.
+	if n := p.Metrics().Counter(MetricItems).Value(); n != snap.Misses {
+		t.Fatalf("trace layer counted %d items, cache missed %d", n, snap.Misses)
 	}
 }
 
@@ -167,7 +167,7 @@ func TestBatchFallbackForNonBatchBackend(t *testing.T) {
 		}
 		return maestro.Cost{DelayCycles: float64(n)}, nil
 	}}
-	p := Chain(fake, WithStats())
+	p := Chain(fake, WithTrace(nil))
 	trs := randomTriples(13, 4)
 	ss := make([]sched.Schedule, len(trs))
 	for i, tr := range trs {
@@ -187,8 +187,8 @@ func TestBatchFallbackForNonBatchBackend(t *testing.T) {
 		}
 	}
 	wantOK, wantInvalid := int64((len(ss)+1)/2), int64(len(ss)/2)
-	if st := p.Stats().Snapshot(); st.Evals != int64(len(ss)) || st.OK != wantOK || st.Invalid != wantInvalid {
-		t.Fatalf("stats snapshot %+v, want evals=%d ok=%d invalid=%d", st, len(ss), wantOK, wantInvalid)
+	if c := p.Metrics().Snapshot().Counters; c[MetricItems] != int64(len(ss)) || c[MetricOK] != wantOK || c[MetricInvalid] != wantInvalid {
+		t.Fatalf("counters %v, want items=%d ok=%d invalid=%d", c, len(ss), wantOK, wantInvalid)
 	}
 }
 
@@ -278,13 +278,13 @@ func TestBatchCachePanicWithdrawsLeaders(t *testing.T) {
 
 // TestBatchEmpty: zero-length batches are legal no-ops at every layer.
 func TestBatchEmpty(t *testing.T) {
-	p := MustFromSpec("maestro,cache,stats", SpecOptions{})
+	p := MustFromSpec("maestro,cache", SpecOptions{})
 	tr := randomTriples(24, 1)[0]
 	costs, errs := p.EvaluateBatch(tr.a, nil, tr.l)
 	if len(costs) != 0 || len(errs) != 0 {
 		t.Fatalf("empty batch returned %d/%d results", len(costs), len(errs))
 	}
-	if st := p.Stats().Snapshot(); st.Evals != 0 {
-		t.Fatalf("empty batch counted %d evals", st.Evals)
+	if n := p.Metrics().Counter(MetricItems).Value(); n != 0 {
+		t.Fatalf("empty batch counted %d items", n)
 	}
 }

@@ -164,14 +164,15 @@ func distinctSchedules(tr triple, n int) []sched.Schedule {
 	return out
 }
 
-// BenchmarkTraceOverhead measures what tracing costs an evaluation
-// pipeline. "untraced" is the baseline (no trace layer at all), "nil"
-// has the layer with a nil tracer (the always-off configuration every
-// production run without -trace pays: one branch), "nop" uses the
-// disabled obs.Nop sink through the same branch, and "jsonl" streams
-// every event to an io.Discard-backed JSONL sink — the full cost of
-// -trace minus the disk. The acceptance bar is nil/nop within noise of
-// untraced; CI runs this with -benchtime=1x as a smoke test.
+// BenchmarkTraceOverhead measures what observing costs an evaluation
+// pipeline. "bare" is the backend with no layers; "untraced" is
+// FromSpec's default pipeline, whose always-present trace layer times
+// and counts every round (the cost every run without -trace pays);
+// "nil" and "nop" hand-assemble that layer with a nil and a disabled
+// obs.Nop tracer; and "jsonl" streams every event to an
+// io.Discard-backed JSONL sink — the full cost of -trace minus the
+// disk. The acceptance bar is nil/nop within noise of untraced; CI runs
+// this with -benchtime=1x as a smoke test.
 func BenchmarkTraceOverhead(b *testing.B) {
 	const keys = 256
 	trs := randomTriples(9, keys)[:keys]
@@ -182,6 +183,9 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			pipe.Evaluate(tr.a, tr.s, tr.l)
 		}
 	}
+	b.Run("bare", func(b *testing.B) {
+		run(b, Chain(mustOpen(b, "maestro")))
+	})
 	b.Run("untraced", func(b *testing.B) {
 		run(b, MustFromSpec("maestro", SpecOptions{}))
 	})

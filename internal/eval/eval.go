@@ -15,8 +15,9 @@
 //     layers that each preserve the evaluator contract. The bundled
 //     middlewares are WithCache (a concurrency-safe memo cache with one
 //     table per accelerator-layer pair and single-flight deduplication),
-//     WithStats (atomic per-backend eval/invalid/error/latency counters),
-//     and WithGuard (the resilience.Guard panic/timeout/retry policy).
+//     WithTrace (per-backend item/outcome/latency counters and trace
+//     events), and WithGuard (the resilience.Guard panic/timeout/retry
+//     policy).
 //   - A spec language: FromSpec("sim,cache,guard") builds the whole
 //     pipeline from one flag-friendly string, which is how the CLIs and
 //     the experiment harness configure evaluation.
@@ -33,6 +34,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"spotlight/internal/core"
 	"spotlight/internal/hw"
@@ -116,20 +118,20 @@ type Middleware func(core.Evaluator) core.Evaluator
 // Pipeline is a backend composed with its middleware stack. It
 // implements core.Evaluator (Evaluate and Name delegate to the outermost
 // layer) plus Validate, which core.RunConfig checks before a run starts.
-// Handles to the cache and stats layers, when present, are retained for
-// reporting.
+// Handles to the cache, trace and disk layers, when present, are
+// retained for reporting.
 type Pipeline struct {
 	backend core.Evaluator // innermost layer
 	outer   core.Evaluator // fully composed chain
 	cache   *Cache         // nil when the chain has no cache layer
-	stats   *Stats         // nil when the chain has no stats layer
+	trace   *Trace         // nil when the chain has no trace layer
 	disk    *Disk          // nil when the chain has no persistent cache layer
 	spec    string         // the spec the pipeline was built from, if any
 }
 
 // Chain composes a backend with middlewares, innermost first: the first
 // middleware wraps the backend directly, the last sees every call first.
-// When the backend is sim's hybrid and the chain contains a stats layer,
+// When the backend is sim's hybrid and the chain contains a trace layer,
 // the backend's path events (simulated/fallback) are wired into that
 // layer, so backend-specific counters live in the middleware rather
 // than the backend.
@@ -143,14 +145,14 @@ func Chain(backend core.Evaluator, mw ...Middleware) *Pipeline {
 		switch layer := p.outer.(type) {
 		case *Cache:
 			p.cache = layer
-		case *Stats:
-			p.stats = layer
+		case *Trace:
+			p.trace = layer
 		case *Disk:
 			p.disk = layer
 		}
 	}
-	if b, ok := backend.(*sim.Backend); ok && p.stats != nil {
-		b.Events = p.stats
+	if b, ok := backend.(*sim.Backend); ok && p.trace != nil {
+		b.Events = p.trace
 	}
 	return p
 }
@@ -178,7 +180,7 @@ func (p *Pipeline) EvaluateBatch(a hw.Accel, ss []sched.Schedule, l workload.Lay
 }
 
 // Name implements core.Evaluator. Trajectory-neutral layers (cache,
-// stats) are name-transparent, so a pipeline's name — and with it the
+// trace) are name-transparent, so a pipeline's name — and with it the
 // checkpoint fingerprint — depends only on the layers that can change
 // what the search observes (the backend, and guard under faults).
 func (p *Pipeline) Name() string { return p.outer.Name() }
@@ -208,8 +210,14 @@ func (p *Pipeline) Backend() core.Evaluator { return p.backend }
 // Cache returns the pipeline's cache layer, or nil.
 func (p *Pipeline) Cache() *Cache { return p.cache }
 
-// Stats returns the pipeline's stats layer, or nil.
-func (p *Pipeline) Stats() *Stats { return p.stats }
+// Metrics returns the trace layer's counters (the Metric* names plus one
+// counter per backend event), or nil when the chain has no trace layer.
+func (p *Pipeline) Metrics() *obs.Registry {
+	if p.trace == nil {
+		return nil
+	}
+	return p.trace.reg
+}
 
 // Disk returns the pipeline's persistent cache layer, or nil.
 func (p *Pipeline) Disk() *Disk { return p.disk }
@@ -229,17 +237,30 @@ func (p *Pipeline) Close() error {
 // hand-assembled chains).
 func (p *Pipeline) Spec() string { return p.spec }
 
-// Report renders the pipeline's counters — per-backend stats first, then
-// the cache — as human-readable lines, for the CLIs to print after a
-// run. It returns "" when the pipeline has neither layer.
+// Report renders the pipeline's counters — the backend's first, then
+// its backend events in name order, then the caches — as human-readable
+// lines, for the CLIs to print after a run. It returns "" when the
+// pipeline has none of those layers.
 func (p *Pipeline) Report() string {
 	var b strings.Builder
-	if p.stats != nil {
-		s := p.stats.Snapshot()
+	if p.trace != nil {
+		c := p.trace.reg.Snapshot().Counters
+		items := c[MetricItems]
+		var avg time.Duration
+		if items > 0 {
+			avg = time.Duration(c[MetricLatencyNS] / items)
+		}
 		fmt.Fprintf(&b, "eval stats [%s]: evals=%d ok=%d invalid=%d errors=%d avg=%s\n",
-			s.Backend, s.Evals, s.OK, s.Invalid, s.Errors, s.AvgLatency())
-		for _, ev := range s.EventNames() {
-			fmt.Fprintf(&b, "eval stats [%s]: %s=%d\n", s.Backend, ev, s.Events[ev])
+			p.trace.scope, items, c[MetricOK], c[MetricInvalid], c[MetricError], avg)
+		events := make([]string, 0, len(c))
+		for name := range c { //lint:allow maporder(sorted before use below)
+			if !strings.HasPrefix(name, "eval.") {
+				events = append(events, name)
+			}
+		}
+		sort.Strings(events)
+		for _, ev := range events {
+			fmt.Fprintf(&b, "eval stats [%s]: %s=%d\n", p.trace.scope, ev, c[ev])
 		}
 	}
 	if p.cache != nil {

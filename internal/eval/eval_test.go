@@ -11,6 +11,7 @@ import (
 	"spotlight/internal/hw"
 	"spotlight/internal/maestro"
 	"spotlight/internal/sched"
+	"spotlight/internal/sim"
 	"spotlight/internal/workload"
 )
 
@@ -78,9 +79,9 @@ func TestRegisterRejectsBadRegistrations(t *testing.T) {
 func TestNameTransparency(t *testing.T) {
 	// Trajectory-neutral layers pass the backend name through, so the
 	// checkpoint fingerprint of a default pipeline matches a bare backend.
-	p := MustFromSpec("maestro,cache,stats", SpecOptions{})
+	p := MustFromSpec("maestro,cache", SpecOptions{})
 	if got := p.Name(); got != "maestro" {
-		t.Fatalf("cached+statsed pipeline Name() = %q, want maestro", got)
+		t.Fatalf("cached pipeline Name() = %q, want maestro", got)
 	}
 	// The guard can change what the search observes under faults, so it
 	// stays visible in the name.
@@ -135,34 +136,37 @@ func validTriple(t *testing.T, ev core.Evaluator) (hw.Accel, sched.Schedule, wor
 }
 
 func TestChainWiresSimEventsIntoStats(t *testing.T) {
-	p := MustFromSpec("sim,stats", SpecOptions{})
+	p := MustFromSpec("sim", SpecOptions{})
 	a, s, l := validTriple(t, maestro.New())
 	if _, err := p.Evaluate(a, s, l); err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
-	snap := p.Stats().Snapshot()
-	if snap.Evals != 1 || snap.OK != 1 {
-		t.Fatalf("snapshot = %+v, want one ok eval", snap)
+	c := p.Metrics().Snapshot().Counters
+	if c[MetricItems] != 1 || c[MetricOK] != 1 {
+		t.Fatalf("counters = %v, want one ok eval", c)
 	}
-	total := int64(0)
-	for _, n := range []string{"simulated", "fallback"} {
-		total += snap.Events[n]
-	}
-	if total != 1 {
-		t.Fatalf("events = %v, want exactly one simulated/fallback event", snap.Events)
+	if total := c[sim.EventSimulated] + c[sim.EventFallback]; total != 1 {
+		t.Fatalf("counters = %v, want exactly one simulated/fallback event", c)
 	}
 }
 
 func TestReport(t *testing.T) {
-	p := MustFromSpec("maestro,cache", SpecOptions{EnsureStats: true})
+	p := MustFromSpec("maestro,cache", SpecOptions{})
 	a, s, l := validTriple(t, maestro.New())
 	p.Evaluate(a, s, l)
 	p.Evaluate(a, s, l)
+	p.trace.Event("simulated")
+	p.trace.Event("fallback")
+	p.trace.Event("simulated")
 	rep := p.Report()
-	for _, want := range []string{"eval stats [maestro]:", "evals=1", "eval cache:", "hits=1", "misses=1"} {
+	for _, want := range []string{"eval stats [maestro]: evals=1 ok=1 invalid=0 errors=0 avg=", "eval cache:", "hits=1", "misses=1"} {
 		if !strings.Contains(rep, want) {
 			t.Fatalf("report %q missing %q", rep, want)
 		}
+	}
+	// Backend events follow the counters, one line each, in name order.
+	if want := "eval stats [maestro]: fallback=1\neval stats [maestro]: simulated=2\neval cache:"; !strings.Contains(rep, want) {
+		t.Fatalf("report %q does not list backend events in name order", rep)
 	}
 	if (&Pipeline{backend: maestro.New(), outer: maestro.New()}).Report() != "" {
 		t.Fatal("bare pipeline should report nothing")
@@ -196,7 +200,7 @@ func TestUncachedPipelineHistoryBitIdentical(t *testing.T) {
 	}
 	ref := run(maestro.New(), 1)
 	for _, workers := range []int{1, 3} {
-		got := run(MustFromSpec("maestro", SpecOptions{EnsureStats: true}), workers)
+		got := run(MustFromSpec("maestro", SpecOptions{}), workers)
 		if len(got.History) != len(ref.History) {
 			t.Fatalf("workers=%d: history length %d != %d", workers, len(got.History), len(ref.History))
 		}

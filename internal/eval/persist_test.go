@@ -204,12 +204,12 @@ func TestPersistentCacheHistoryBitIdentical(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		dir := t.TempDir()
 		mk := func() *Pipeline {
-			return MustFromSpec("maestro,cache", SpecOptions{EnsureStats: true, CacheDir: dir})
+			return MustFromSpec("maestro,cache", SpecOptions{CacheDir: dir})
 		}
 
 		cold := mk()
 		requireSameHistory(t, fmt.Sprintf("cold/workers=%d", workers), ref, smallRun(t, cold, workers))
-		coldEvals := cold.Stats().Snapshot().Evals
+		coldEvals := cold.Metrics().Counter(MetricItems).Value()
 		if coldEvals == 0 {
 			t.Fatal("cold run did no backend work")
 		}
@@ -222,7 +222,7 @@ func TestPersistentCacheHistoryBitIdentical(t *testing.T) {
 
 		warm := mk()
 		requireSameHistory(t, fmt.Sprintf("warm/workers=%d", workers), ref, smallRun(t, warm, workers))
-		if n := warm.Stats().Snapshot().Evals; n != 0 {
+		if n := warm.Metrics().Counter(MetricItems).Value(); n != 0 {
 			t.Fatalf("warm run reached the backend %d times, want 0", n)
 		}
 		snap := warm.Disk().Store().Snapshot()
@@ -255,7 +255,7 @@ func TestPersistentCacheHistoryBitIdentical(t *testing.T) {
 			t.Fatalf("torn journal not detected: %+v", recSnap)
 		}
 		requireSameHistory(t, fmt.Sprintf("recovered/workers=%d", workers), ref, smallRun(t, rec, workers))
-		if n := rec.Stats().Snapshot().Evals; n == 0 || n >= coldEvals {
+		if n := rec.Metrics().Counter(MetricItems).Value(); n == 0 || n >= coldEvals {
 			t.Fatalf("recovered run did %d backend evals, want >0 and < cold's %d", n, coldEvals)
 		}
 		if err := rec.Close(); err != nil {
@@ -271,10 +271,9 @@ func TestPersistDegradationObserveOnly(t *testing.T) {
 	ref := smallRun(t, maestro.New(), 1)
 	rec := &recordingTracer{}
 	p := MustFromSpec("maestro,cache", SpecOptions{
-		EnsureStats: true,
-		CacheDir:    t.TempDir(),
-		DiskFault:   resilience.NewFileFault(512, errors.New("injected ENOSPC")),
-		Tracer:      rec,
+		CacheDir:  t.TempDir(),
+		DiskFault: resilience.NewFileFault(512, errors.New("injected ENOSPC")),
+		Tracer:    rec,
 	})
 	defer p.Close()
 	requireSameHistory(t, "degraded", ref, smallRun(t, p, 3))

@@ -54,22 +54,18 @@ func WithGuard(opts GuardOptions) Middleware {
 	}
 }
 
-// SpecOptions parameterizes FromSpec: the guard layer's policy and
-// whether a stats layer is guaranteed.
+// SpecOptions parameterizes FromSpec: the guard layer's policy, the
+// tracer, and the persistent cache.
 type SpecOptions struct {
 	// Guard configures any "guard" token in the spec. When Guard asks
 	// for a timeout or retries and the spec has no "guard" token, a
 	// guard layer is appended outermost — so a CLI's -eval-timeout
 	// keeps working whatever the -eval spec says.
 	Guard GuardOptions
-	// EnsureStats inserts a stats layer directly above the backend when
-	// the spec does not name one, so callers that report statistics
-	// always have a layer to read.
-	EnsureStats bool
 	// Tracer, when set, threads trace emission through the whole
-	// pipeline: a trace layer is inserted innermost (so, like stats, it
-	// times true backend work — cache hits never reach it), the cache
-	// and stats layers report their events to it, and any guard layer
+	// pipeline: the trace layer FromSpec always inserts directly above
+	// the backend emits eval.done events and backend.path events to it,
+	// the cache layer reports hits and misses, and any guard layer
 	// reports retries and timeouts. Tracing is observe-only: a traced
 	// pipeline returns bit-identical results to an untraced one.
 	Tracer obs.Tracer
@@ -90,11 +86,14 @@ type SpecOptions struct {
 // names a middleware applied in order, innermost first. "sim,cache,guard"
 // is the sim backend, memoized, with the guard outermost (so retried
 // faults re-enter the cache, and cache hits skip the guard's machinery).
+// Every pipeline gets the trace layer directly above the backend, so its
+// counters (Pipeline.Metrics) measure backend work; request traffic is
+// the cache's hits + misses + coalesced.
 //
 // Middleware tokens: "cache" (memo cache with single-flight dedup),
 // "diskcache(path=FILE)" (crash-safe persistent cache journaling to
 // FILE; bare "diskcache" derives the path from SpecOptions.CacheDir),
-// "stats" (per-backend counters), "guard" (panic/timeout/retry policy).
+// "guard" (panic/timeout/retry policy).
 // An unknown backend name returns *UnknownBackendError; an unknown
 // middleware token returns a plain error naming the valid tokens.
 func FromSpec(spec string, opts SpecOptions) (*Pipeline, error) {
@@ -122,15 +121,12 @@ func FromSpec(spec string, opts SpecOptions) (*Pipeline, error) {
 	}
 
 	var mws []Middleware
-	hasStats, hasGuard, hasDisk := false, false, false
+	hasGuard, hasDisk := false, false
 	for _, tok := range parts[1:] {
 		tok = strings.TrimSpace(tok)
 		switch {
 		case tok == "cache":
 			mws = append(mws, WithCache())
-		case tok == "stats":
-			mws = append(mws, WithStats())
-			hasStats = true
 		case tok == "guard":
 			mws = append(mws, WithGuard(opts.Guard))
 			hasGuard = true
@@ -147,30 +143,20 @@ func FromSpec(spec string, opts SpecOptions) (*Pipeline, error) {
 		case tok == "":
 			return nil, fmt.Errorf("eval: empty middleware token in spec %q", spec)
 		default:
-			return nil, fmt.Errorf("eval: unknown middleware %q in spec %q (middlewares: cache, diskcache(path=FILE), guard, stats)", tok, spec)
+			return nil, fmt.Errorf("eval: unknown middleware %q in spec %q (middlewares: cache, diskcache(path=FILE), guard)", tok, spec)
 		}
 	}
 	if opts.CacheDir != "" && !hasDisk {
 		mws = append([]Middleware{disk("")}, mws...)
 	}
-	if opts.EnsureStats && !hasStats {
-		mws = append([]Middleware{WithStats()}, mws...)
-	}
-	if obs.Enabled(opts.Tracer) {
-		mws = append([]Middleware{WithTrace(opts.Tracer)}, mws...)
-	}
+	mws = append([]Middleware{WithTrace(opts.Tracer)}, mws...)
 	if opts.Guard.configured() && !hasGuard {
 		mws = append(mws, WithGuard(opts.Guard))
 	}
 	p := Chain(backend, mws...)
 	p.spec = spec
-	if obs.Enabled(opts.Tracer) {
-		if p.cache != nil {
-			p.cache.SetTracer(opts.Tracer)
-		}
-		if p.stats != nil {
-			p.stats.SetTracer(opts.Tracer)
-		}
+	if obs.Enabled(opts.Tracer) && p.cache != nil {
+		p.cache.SetTracer(opts.Tracer)
 	}
 	return p, nil
 }

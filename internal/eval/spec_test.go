@@ -21,8 +21,11 @@ func TestFromSpecRejectsMalformedSpecs(t *testing.T) {
 			t.Fatalf("spec %q accepted", spec)
 		}
 	}
-	if _, err := FromSpec("maestro,turbo", SpecOptions{}); !strings.Contains(err.Error(), "cache, diskcache(path=FILE), guard, stats") {
-		t.Fatalf("unknown-middleware error %v does not list the valid tokens", err)
+	for _, tok := range []string{"turbo", "stats"} {
+		_, err := FromSpec("maestro,"+tok, SpecOptions{})
+		if err == nil || !strings.Contains(err.Error(), "(middlewares: cache, diskcache(path=FILE), guard)") {
+			t.Fatalf("token %q: unknown-middleware error %v does not list the valid tokens", tok, err)
+		}
 	}
 }
 
@@ -31,26 +34,16 @@ func TestFromSpecLayerSelection(t *testing.T) {
 	if p.Cache() == nil {
 		t.Fatal("cache layer missing")
 	}
-	if p.Stats() != nil {
-		t.Fatal("stats layer present without EnsureStats or a stats token")
+	// The trace layer sits directly above the backend: it reports the
+	// backend's name, and cache hits never reach it.
+	if p.trace == nil || p.trace.scope != "sim-hybrid" {
+		t.Fatalf("trace layer = %+v, want one wrapping the backend", p.trace)
 	}
 	if got := p.Name(); got != "guard(sim-hybrid)" {
 		t.Fatalf("Name() = %q, want guard(sim-hybrid)", got)
 	}
 	if p.Spec() != "sim,cache,guard" {
 		t.Fatalf("Spec() = %q", p.Spec())
-	}
-}
-
-func TestFromSpecEnsureStats(t *testing.T) {
-	p := MustFromSpec("maestro,cache", SpecOptions{EnsureStats: true})
-	if p.Stats() == nil {
-		t.Fatal("EnsureStats did not add a stats layer")
-	}
-	// The implicit stats layer sits directly above the backend: it
-	// reports the backend's name, and cache hits never reach it.
-	if got := p.Stats().Snapshot().Backend; got != "maestro" {
-		t.Fatalf("stats wraps %q, want the backend", got)
 	}
 }
 

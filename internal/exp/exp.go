@@ -110,7 +110,7 @@ func (c Config) normalized() (Config, error) {
 		if spec == "" {
 			spec = "maestro"
 		}
-		p, err := eval.FromSpec(spec, eval.SpecOptions{EnsureStats: true, Tracer: c.Tracer})
+		p, err := eval.FromSpec(spec, eval.SpecOptions{Tracer: c.Tracer})
 		if err != nil {
 			return c, err
 		}

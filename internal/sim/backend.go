@@ -17,7 +17,7 @@ const (
 )
 
 // EventSink receives named backend events. The evaluation pipeline's
-// stats middleware (internal/eval) implements it, so path counters live
+// trace layer (internal/eval) implements it, so path counters live
 // with the rest of the per-backend statistics instead of inside the
 // backend; a nil sink drops the events. Implementations must be safe for
 // concurrent use — Evaluate may be called from several layer workers at
