@@ -11,11 +11,14 @@ package spotlight
 // cmd/experiments -paper when absolute convergence quality matters.
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
 
 	"spotlight/internal/core"
+	"spotlight/internal/engine"
+	"spotlight/internal/eval"
 	"spotlight/internal/exp"
 	"spotlight/internal/gp"
 	"spotlight/internal/hw"
@@ -58,13 +61,51 @@ func tolerate(b *testing.B, err error) {
 
 // BenchmarkFig6EdgeSingleModel regenerates Figure 6: edge-scale
 // single-model co-design versus hand-designed accelerators and prior
-// co-design tools.
+// co-design tools. It is a warmup-only row: at 6 HW × 8 SW samples no
+// daBO instance collects the 8 observations it needs before it ranks,
+// so it times random sampling and evaluation, never the surrogate
+// (BenchmarkSpotlightEdgeSearch times the ranking loop).
 func BenchmarkFig6EdgeSingleModel(b *testing.B) {
 	cfg := benchCfg("ResNet-50")
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i + 1)
 		_, err := exp.Fig6(cfg)
 		tolerate(b, err)
+	}
+}
+
+// BenchmarkSpotlightEdgeSearch is the Go-side end-to-end row of the
+// daBO_SW ranking loop: one Spotlight search of ResNet-50 at edge scale,
+// 100 HW × 24 SW samples, seed 1, minimizing delay with two layer-search
+// workers, through a fresh maestro pipeline per iteration — the search
+// perfbench's spotlight_edge workload times. Profile the candidate path
+// with
+//
+//	go test -run '^$' -bench SpotlightEdgeSearch -cpuprofile cpu.out .
+func BenchmarkSpotlightEdgeSearch(b *testing.B) {
+	spec := engine.JobSpec{
+		Kind:      engine.KindSearch,
+		Strategy:  "spotlight",
+		Models:    []string{"ResNet-50"},
+		Scale:     "edge",
+		Objective: "delay",
+		HWSamples: 100,
+		SWSamples: 24,
+		Seed:      1,
+		Eval:      "maestro",
+		Workers:   2,
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pipe, err := eval.FromSpec(spec.Eval, eval.SpecOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = engine.RunSearch(context.Background(), spec, engine.SearchOptions{Eval: pipe})
+		tolerate(b, err)
+		if err := pipe.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -336,10 +377,11 @@ func BenchmarkTimeloopEvaluate(b *testing.B) {
 
 // BenchmarkScheduleSampling measures the candidate generator that feeds
 // every acquisition batch, per drawn schedule: one-shot is
-// Constraint.Random, which builds a sampler per draw; per-layer draws
-// from one sampler built up front, as a layer search does. The
-// spotlight-f rows sample a fixed dataflow whose untiled dimensions are
-// fit by FitTiles, which the per-layer sampler computes once.
+// Constraint.Random, which builds a sampler per draw; per-layer draws in
+// place, trip counts included, from one sampler built up front, as a
+// layer search does. The spotlight-f rows sample a fixed dataflow whose
+// untiled dimensions are fit by FitTiles, which the per-layer sampler
+// computes once.
 func BenchmarkScheduleSampling(b *testing.B) {
 	l := workload.ResNet50().Layers[6]
 	for _, tc := range []struct {
@@ -358,34 +400,36 @@ func BenchmarkScheduleSampling(b *testing.B) {
 		b.Run(tc.name+"/per-layer", func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			smp := tc.c.Sampler(l, 512, 128<<10)
+			var s sched.Schedule
+			var n2, n1 [workload.NumDims]int
 			for i := 0; i < b.N; i++ {
-				_ = smp.Draw(rng)
+				smp.DrawInto(rng, &s, &n2, &n1)
 			}
 		})
 	}
 }
 
 // BenchmarkFeatureTransform measures the Figure 4 feature computation
-// for one candidate: one-shot is core.Transform; per-layer reuses one
-// Candidate and feature row, as a layer search does.
+// for one candidate: one-shot is core.Transform, which computes the trip
+// counts; per-layer reuses one Candidate and feature row and reads the
+// trip counts its in-place draw left, as a layer search does.
 func BenchmarkFeatureTransform(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	a := hw.EdgeSpace().Random(rng)
 	l := workload.ResNet50().Layers[6]
-	s := sched.Free().Random(rng, l, a.RFBytesPerPE(), a.L2Bytes())
-	p := core.Point{Accel: a, Sched: s, Layer: l}
+	smp := sched.Free().Sampler(l, a.RFBytesPerPE(), a.L2Bytes())
+	c := core.Candidate{Point: core.Point{Accel: a, Layer: l}}
+	c.Draw(&smp, rng)
 	fs := core.SoftwareFeatures()
 	b.Run("one-shot", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = core.Transform(fs, p)
+			_ = core.Transform(fs, c.Point)
 		}
 	})
 	b.Run("per-layer", func(b *testing.B) {
-		c := core.Candidate{Point: p}
 		row := make([]float64, len(fs))
 		for i := 0; i < b.N; i++ {
-			c.Sched = s
-			c.TransformInto(row, fs)
+			c.TransformDrawn(row, fs)
 		}
 	})
 }

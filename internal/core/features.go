@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"spotlight/internal/gp"
+	"spotlight/internal/sched"
 	"spotlight/internal/workload"
 )
 
@@ -17,9 +18,9 @@ type Feature struct {
 
 // Candidate is what a feature reads: the co-design point, and its
 // schedule's trip counts, computed at most once per point however many
-// features read them. Hardware-only points carry a zero schedule; no
-// hardware feature asks for trip counts, so they are never computed for
-// them.
+// features read them, or not at all when Draw sampled the schedule.
+// Hardware-only points carry a zero schedule; no hardware feature asks
+// for trip counts, so they are never computed for them.
 type Candidate struct {
 	Point
 	n2, n1 [workload.NumDims]int
@@ -38,12 +39,26 @@ func (c *Candidate) Trips() (n2, n1 *[workload.NumDims]int) {
 	return &c.n2, &c.n1
 }
 
+// Draw samples c's schedule from smp. The draw yields the schedule's trip
+// counts too, so TransformDrawn computes none. smp must have been built
+// for c's layer.
+func (c *Candidate) Draw(smp *sched.Sampler, rng *rand.Rand) {
+	smp.DrawInto(rng, &c.Sched, &c.n2, &c.n1)
+	c.trips = true
+}
+
 // TransformInto writes the feature vector of c's point into dst, which
 // has len(fs) entries. It forgets the previous point's trip counts first,
-// so a layer search reuses one Candidate per batch slot and only sets its
-// Sched per draw.
+// so a caller that reuses one Candidate may set its Sched directly per
+// point.
 func (c *Candidate) TransformInto(dst []float64, fs []Feature) {
 	c.trips = false
+	c.TransformDrawn(dst, fs)
+}
+
+// TransformDrawn is TransformInto for a schedule set by Draw: it keeps
+// the trip counts the draw left.
+func (c *Candidate) TransformDrawn(dst []float64, fs []Feature) {
 	for i, f := range fs {
 		dst[i] = f.Fn(c)
 	}
@@ -82,6 +97,23 @@ func (m FeatureMode) String() string {
 // guideline (3) of §IV-B2.
 func lg(v float64) float64 { return math.Log1p(v) }
 
+// lgSmall tabulates lg over the small integers most software feature
+// values are.
+var lgSmall = func() (t [1024]float64) {
+	for v := range t {
+		t[v] = lg(float64(v))
+	}
+	return t
+}()
+
+// lgInt is lg(float64(v)), read from lgSmall when v is in it.
+func lgInt(v int) float64 {
+	if uint(v) < uint(len(lgSmall)) {
+		return lgSmall[v]
+	}
+	return lg(float64(v))
+}
+
 // SoftwareFeatures returns the Figure 4 feature set used by daBO_SW. The
 // first four entries are the raw cardinal parameters; the rest encode the
 // domain information described in §IV-B2.
@@ -96,16 +128,16 @@ func SoftwareFeatures() []Feature {
 		}},
 		{"kernel_parallelism", func(c *Candidate) float64 {
 			// R₀ × S₀: the filter extent resident at the outer tile level.
-			return lg(float64(c.Sched.T2[workload.DimR] * c.Sched.T2[workload.DimS]))
+			return lgInt(c.Sched.T2[workload.DimR] * c.Sched.T2[workload.DimS])
 		}},
 		{"degree_of_unrolling", func(c *Candidate) float64 {
 			// Outer unrolled loop extent × inner unrolled loop extent
 			// (both L2-level loops, distributed over rows and columns).
 			_, n1 := c.Trips()
 			if c.Sched.OuterUnroll == c.Sched.InnerUnroll {
-				return lg(float64(n1[c.Sched.OuterUnroll]))
+				return lgInt(n1[c.Sched.OuterUnroll])
 			}
-			return lg(float64(n1[c.Sched.OuterUnroll]) * float64(n1[c.Sched.InnerUnroll]))
+			return lgInt(n1[c.Sched.OuterUnroll] * n1[c.Sched.InnerUnroll])
 		}},
 		{"pe_utilization", peUtilization},
 		{"loop_iterations", func(c *Candidate) float64 {
@@ -114,18 +146,14 @@ func SoftwareFeatures() []Feature {
 		{"dram_transfers", func(c *Candidate) float64 {
 			// (X₀/X₂) × (Y₀/Y₂) × (array width + array height).
 			n2, _ := c.Trips()
-			return lg(float64(n2[workload.DimX]) * float64(n2[workload.DimY]) *
-				float64(c.Accel.Width+c.Accel.Height()))
+			return lgInt(n2[workload.DimX] * n2[workload.DimY] * (c.Accel.Width + c.Accel.Height()))
 		}},
 		{"common_unrolled_dims", func(c *Candidate) float64 {
 			// Prime-basis linear combination spreading the few unique
 			// values of each tile parameter apart (§IV-B2).
 			s := &c.Sched
-			return lg(2*float64(s.T2[workload.DimX]) +
-				3*float64(s.T2[workload.DimY]) +
-				5*float64(c.Layer.Size(workload.DimK)) +
-				7*float64(s.T2[workload.DimK]) +
-				11*float64(s.T1[workload.DimK]))
+			return lgInt(2*s.T2[workload.DimX] + 3*s.T2[workload.DimY] + 5*c.Layer.Size(workload.DimK) +
+				7*s.T2[workload.DimK] + 11*s.T1[workload.DimK])
 		}},
 	}
 }

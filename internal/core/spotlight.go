@@ -194,9 +194,9 @@ type spotlightSW struct {
 	// overwritten by every Suggest.
 	cands []sched.Schedule
 	rows  [][]float64
-	// cand is the point being transformed, its accelerator and layer
-	// fixed for the search; row is Observe's feature vector (DABO copies
-	// what it keeps).
+	// cand is the point being drawn and transformed, its accelerator and
+	// layer fixed for the search; row is Observe's feature vector (DABO
+	// copies what it keeps).
 	cand Candidate
 	row  []float64
 }
@@ -204,14 +204,15 @@ type spotlightSW struct {
 // Suggest draws a batch of candidates and lets daBO pick one. While daBO
 // picks at random it reads no features, so none are computed; feature
 // transforms draw nothing from the RNG, so the draw order is unchanged.
+// Each candidate is drawn in place, its trip counts with it.
 func (w *spotlightSW) Suggest() sched.Schedule {
 	rank := !w.dabo.picksAtRandom()
 	for i := range w.cands {
-		w.cands[i] = w.samplers[w.rng.Intn(len(w.samplers))].Draw(w.rng)
+		w.cand.Draw(&w.samplers[w.rng.Intn(len(w.samplers))], w.rng)
 		if rank {
-			w.cand.Sched = w.cands[i]
-			w.cand.TransformInto(w.rows[i], w.features)
+			w.cand.TransformDrawn(w.rows[i], w.features)
 		}
+		w.cands[i] = w.cand.Sched
 	}
 	return w.cands[w.dabo.SuggestIndex(w.rows)]
 }

@@ -45,6 +45,15 @@ type PrimalStats struct {
 
 	pn int            // penalized observations (shared target set at Fit)
 	pm *linalg.Matrix // Σ u·uᵀ over penalized rows
+
+	// Fit's temporaries, allocated by the first Fit and overwritten by
+	// every later one: the combined target sums and the standardized
+	// system A·w = b, all discarded once the system is factorized.
+	a      *linalg.Matrix
+	tyc, b []float64
+	// sol is the prediction scratch shared by every model this
+	// accumulator fits (see PrimalLinear).
+	sol []float64
 }
 
 // NewPrimalStats returns an empty accumulator for the kernel
@@ -164,16 +173,17 @@ func (p *PrimalStats) Fit(penalty float64) (*PrimalLinear, error) {
 	}
 	d := p.dim
 	fn := float64(nt)
-
-	// Combined raw moments over valid + penalized rows (upper triangle).
-	mc := linalg.NewMatrix(d+1, d+1)
-	for i := 0; i <= d; i++ {
-		for j := i; j <= d; j++ {
-			mc.Set(i, j, p.m.At(i, j)+p.pm.At(i, j))
-		}
+	if p.a == nil {
+		p.a = linalg.NewMatrix(d+1, d+1)
+		buf := make([]float64, (d+1)*(2+blockWidth))
+		p.tyc, p.b, p.sol = buf[:d+1], buf[d+1:2*(d+1)], buf[2*(d+1):]
 	}
+
+	// Combined raw moments over valid + penalized rows (upper triangle),
+	// summed where they are read.
+	mc := func(i, j int) float64 { return p.m.At(i, j) + p.pm.At(i, j) }
 	// Combined target sums: penalized rows contribute penalty·u.
-	ty := make([]float64, d+1)
+	ty := p.tyc
 	for j := 0; j <= d; j++ {
 		ty[j] = p.ty[j] + penalty*p.pm.At(0, j)
 	}
@@ -182,23 +192,22 @@ func (p *PrimalStats) Fit(penalty float64) (*PrimalLinear, error) {
 	xMean := make([]float64, d)
 	xStd := make([]float64, d)
 	for j := 0; j < d; j++ {
-		xMean[j], xStd[j] = momentScale(fn, mc.At(0, j+1), mc.At(j+1, j+1))
+		xMean[j], xStd[j] = momentScale(fn, mc(0, j+1), mc(j+1, j+1))
 	}
 	yMean, yStd := momentScale(fn, ty[0], syy)
 
 	// Standardized system A·w = b over the basis [√bias, x̃₁ … x̃d].
 	sb := math.Sqrt(p.bias)
-	a := linalg.NewMatrix(d+1, d+1)
-	b := make([]float64, d+1)
+	a, b := p.a, p.b
 	a.Set(0, 0, p.bias*fn+p.noise)
 	b[0] = sb * (ty[0] - fn*yMean) / yStd
 	for j := 0; j < d; j++ {
-		cross := sb * (mc.At(0, j+1) - fn*xMean[j]) / xStd[j]
+		cross := sb * (mc(0, j+1) - fn*xMean[j]) / xStd[j]
 		a.Set(0, j+1, cross)
 		a.Set(j+1, 0, cross)
 		b[j+1] = (ty[j+1] - fn*yMean*xMean[j]) / (yStd * xStd[j])
 		for k := j; k < d; k++ {
-			v := (mc.At(j+1, k+1) - fn*xMean[j]*xMean[k]) / (xStd[j] * xStd[k])
+			v := (mc(j+1, k+1) - fn*xMean[j]*xMean[k]) / (xStd[j] * xStd[k])
 			if k == j {
 				v += p.noise
 			}
@@ -217,60 +226,123 @@ func (p *PrimalStats) Fit(penalty float64) (*PrimalLinear, error) {
 		yMean: yMean, yStd: yStd,
 		w:    chol.SolveVec(b),
 		chol: chol,
-		phi:  make([]float64, d+1),
-		sol:  make([]float64, d+1),
+		sol:  p.sol,
 	}, nil
 }
 
 // PrimalLinear is a fitted primal-form linear surrogate. Its posterior
 // matches the dual GP with kernel Linear{Bias: bias} and the same noise
 // on the same data (see TestPrimalMatchesDualGP). Fit once, predict
-// cheaply: O(d) mean, O(d²) standard deviation, no allocation. Like the
-// dense GP it reuses scratch buffers, so it must not be used from
-// multiple goroutines concurrently.
+// cheaply: O(d) mean, O(d²) standard deviation, no allocation. Its
+// fitted parameters are its own, but its prediction scratch belongs to
+// the PrimalStats that fitted it and is shared with every other model
+// that accumulator fits, so those models must not be used from multiple
+// goroutines concurrently.
 type PrimalLinear struct {
 	bias, noise float64
 	xMean, xStd []float64
 	yMean, yStd float64
 	w           []float64 // posterior weights over [√bias, x̃]
 	chol        *linalg.Cholesky
-	phi, sol    []float64 // scratch: standardized point, triangular solve
+	sol         []float64 // forward solves of one block, column-blocked
 }
 
-// Predict implements Predictor.
+// blockWidth is how many candidates predictBlock carries through the
+// triangular solve side by side, one register accumulator each. The
+// solve scratch is column-blocked: entry k·blockWidth+c is component k of
+// the block's candidate c.
+const blockWidth = 8
+
+// Predict implements Predictor, as a batch of one.
 func (p *PrimalLinear) Predict(x []float64) (mean, std float64, err error) {
-	if len(x) != len(p.xMean) {
-		return 0, 0, fmt.Errorf("gp: input has %d features, trained on %d", len(x), len(p.xMean))
+	xs := [1][]float64{x}
+	var means, stds [1]float64
+	if err := p.PredictBatch(xs[:], means[:], stds[:]); err != nil {
+		return 0, 0, err
 	}
-	p.phi[0] = math.Sqrt(p.bias)
-	for j := range x {
-		p.phi[j+1] = (x[j] - p.xMean[j]) / p.xStd[j]
-	}
-	mu := linalg.Dot(p.phi, p.w)
-	// φᵀA⁻¹φ = ‖L⁻¹φ‖² — the forward solve alone is enough.
-	p.chol.SolveLowerTo(p.sol, p.phi)
-	q := linalg.Dot(p.sol, p.sol)
-	if q < 0 {
-		q = 0
-	}
-	variance := p.noise * (1 + q)
-	return mu*p.yStd + p.yMean, math.Sqrt(variance) * p.yStd, nil
+	return means[0], stds[0], nil
 }
 
-// PredictBatch implements Predictor.
+// PredictBatch implements Predictor. It predicts blockWidth candidates
+// at a time so that their triangular solves, each a serial chain,
+// interleave.
 func (p *PrimalLinear) PredictBatch(xs [][]float64, means, stds []float64) error {
 	if len(means) != len(xs) || len(stds) != len(xs) {
 		return fmt.Errorf("gp: batch size mismatch: %d inputs, %d/%d outputs",
 			len(xs), len(means), len(stds))
 	}
-	for i, x := range xs {
-		m, s, err := p.Predict(x)
-		if err != nil {
-			return err
+	for _, x := range xs {
+		if len(x) != len(p.xMean) {
+			return fmt.Errorf("gp: input has %d features, trained on %d", len(x), len(p.xMean))
 		}
-		means[i], stds[i] = m, s
+	}
+	for lo := 0; lo < len(xs); lo += blockWidth {
+		hi := min(lo+blockWidth, len(xs))
+		p.predictBlock(xs[lo:hi], means[lo:hi], stds[lo:hi])
 	}
 	return nil
+}
+
+// predictBlock predicts up to blockWidth candidates. Each candidate's
+// arithmetic is the one-at-a-time computation, operation for operation:
+// standardize φ = [√bias, (x−mean)/std]; mean = φ·w summed in index
+// order as linalg.Dot does; forward-solve L·s = φ row by row, each row
+// subtracting L[i][k]·s[k] in increasing k as Cholesky.SolveLowerTo
+// does; variance from φᵀA⁻¹φ = s·s summed in index order, so the forward
+// solve alone is enough. Only the loop nesting
+// differs: component i of every candidate is standardized, added to the
+// means and solved for before component i+1, and the solve keeps one
+// accumulator per candidate in a register, stepping all of them through
+// each k. So every result is bit-for-bit the per-candidate one while the
+// serial chains of the block overlap. The unused columns of a partial
+// block keep √bias throughout; their results are dropped.
+func (p *PrimalLinear) predictBlock(xs [][]float64, means, stds []float64) {
+	sol, l := p.sol, p.chol.L
+	var phi, mu, q [blockWidth]float64
+	for i, wi := range p.w {
+		if i == 0 {
+			sb := math.Sqrt(p.bias)
+			for c := range phi {
+				phi[c] = sb
+			}
+		} else {
+			mj, sj := p.xMean[i-1], p.xStd[i-1]
+			for c, x := range xs {
+				phi[c] = (x[i-1] - mj) / sj
+			}
+		}
+		for c, v := range phi {
+			mu[c] += v * wi
+		}
+		row := l.Row(i)
+		s0, s1, s2, s3, s4, s5, s6, s7 := phi[0], phi[1], phi[2], phi[3], phi[4], phi[5], phi[6], phi[7]
+		for k, lk := range row[:i] {
+			sk := sol[k*blockWidth:][:blockWidth]
+			s0 -= lk * sk[0]
+			s1 -= lk * sk[1]
+			s2 -= lk * sk[2]
+			s3 -= lk * sk[3]
+			s4 -= lk * sk[4]
+			s5 -= lk * sk[5]
+			s6 -= lk * sk[6]
+			s7 -= lk * sk[7]
+		}
+		d := row[i]
+		si := sol[i*blockWidth:][:blockWidth]
+		si[0], si[1], si[2], si[3], si[4], si[5], si[6], si[7] = s0/d, s1/d, s2/d, s3/d, s4/d, s5/d, s6/d, s7/d
+		for c, v := range si {
+			q[c] += v * v
+		}
+	}
+	for c := range xs {
+		qc := q[c]
+		if qc < 0 {
+			qc = 0
+		}
+		variance := p.noise * (1 + qc)
+		means[c] = mu[c]*p.yStd + p.yMean
+		stds[c] = math.Sqrt(variance) * p.yStd
+	}
 }
 
 // FitPrimalLinear fits the primal linear surrogate on a whole dataset in

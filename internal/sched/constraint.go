@@ -172,17 +172,21 @@ func (c Constraint) Random(rng *rand.Rand, l workload.Layer, rfBytesPerPE, l2Byt
 // layer and one pair of RF/L2 capacities. Everything a draw needs that
 // does not depend on the RNG is resolved when the sampler is built: the
 // effective unroll choices, the fixed loop orders, the FitTiles tiles of
-// the non-searched dimensions, and each searched dimension's divisor
-// table. Draw is the one place the order of a schedule's RNG draws is
-// written.
+// the non-searched dimensions and their trip counts, and each searched
+// dimension's tiling table. DrawInto is the one place the order of a
+// schedule's RNG draws is written.
 type Sampler struct {
 	// base holds the non-searched tiles and the fixed loop orders; a
 	// free order starts from the canonical one and is shuffled per draw.
-	base                       Schedule
-	outer, inner               []workload.Dim
+	base         Schedule
+	outer, inner []workload.Dim
+	// outerMax, innerMax are the unroll choices' bounded-draw limits.
+	outerMax, innerMax         int32
 	shuffleOuter, shuffleInner bool
-	// tiles[i] is dimension i's tiling table, nil when it is not searched.
-	tiles [workload.NumDims]*tilingTable
+	// tiles[i] is dimension i's tiling table, nil when it is not searched;
+	// fixed2[i], fixed1[i] are then base's trip counts in dimension i.
+	tiles          [workload.NumDims]*tilingTable
+	fixed2, fixed1 [workload.NumDims]int32
 }
 
 // Sampler builds the schedule sampler for layer l under c. Its tables are
@@ -190,28 +194,41 @@ type Sampler struct {
 // the layer's extents have been seen.
 func (c Constraint) Sampler(l workload.Layer, rfBytesPerPE, l2Bytes int64) Sampler {
 	s := Sampler{outer: c.outerChoices(), inner: c.innerChoices()}
+	s.outerMax, s.innerMax = intnMax(len(s.outer)), intnMax(len(s.inner))
 	s.base.OuterOrder, s.shuffleOuter = startOrder(c.FixedOuterOrder)
 	s.base.InnerOrder, s.shuffleInner = startOrder(c.FixedInnerOrder)
 	// Heuristically fit the non-searchable dimensions (none under Free);
-	// Draw resamples the searchable ones uniformly over divisor pairs.
+	// a draw resamples the searchable ones uniformly over divisor pairs.
 	if c.TilableDims != nil {
 		s.base.T1, s.base.T2 = FitTiles(l, rfBytesPerPE, l2Bytes)
 	}
 	for i, d := range workload.AllDims {
 		if c.tilable(d) {
 			s.tiles[i] = tilingTableFor(l.Size(d))
+			continue
 		}
+		s.fixed2[i], s.fixed1[i] = int32(l.Size(d)/s.base.T2[i]), int32(s.base.T2[i]/s.base.T1[i])
 	}
 	return s
 }
 
-// Draw samples one schedule: the unroll dimensions, then any free loop
-// orders, then an L2 tile and an RF tile under it for each searched
-// dimension in AllDims order.
+// Draw samples one schedule; it is DrawInto without the trip counts.
 func (s *Sampler) Draw(rng *rand.Rand) (out Schedule) {
-	out = s.base
-	out.OuterUnroll = s.outer[rng.Intn(len(s.outer))]
-	out.InnerUnroll = s.inner[rng.Intn(len(s.inner))]
+	var n2, n1 [workload.NumDims]int
+	s.DrawInto(rng, &out, &n2, &n1)
+	return out
+}
+
+// DrawInto samples one schedule into out, and its DRAM-level (Size/T2)
+// and L2-level (T2/T1) trip counts into n2 and n1: the unroll
+// dimensions, then any free loop orders, then an L2 tile and an RF tile
+// under it for each searched dimension in AllDims order. Every bounded
+// draw consumes the RNG exactly as rand.Intn does, and the trip counts
+// are read from the tiling tables, so a draw divides nothing.
+func (s *Sampler) DrawInto(rng *rand.Rand, out *Schedule, n2, n1 *[workload.NumDims]int) {
+	*out = s.base
+	out.OuterUnroll = s.outer[intn(rng, len(s.outer), s.outerMax)]
+	out.InnerUnroll = s.inner[intn(rng, len(s.inner), s.innerMax)]
 	if s.shuffleOuter {
 		shuffleOrder(&out.OuterOrder, rng)
 	}
@@ -220,13 +237,34 @@ func (s *Sampler) Draw(rng *rand.Rand) (out Schedule) {
 	}
 	for i, t := range &s.tiles {
 		if t == nil {
+			n2[i], n1[i] = int(s.fixed2[i]), int(s.fixed1[i])
 			continue
 		}
-		j := rng.Intn(len(t.divs))
-		sub := t.sub[j]
-		out.T2[i], out.T1[i] = t.divs[j], sub[rng.Intn(len(sub))]
+		j := intn(rng, len(t.divs), t.max)
+		sub := &t.sub[j]
+		k := intn(rng, len(sub.divs), sub.max)
+		out.T2[i], out.T1[i] = t.divs[j], sub.divs[k]
+		// A divisor list is symmetric: n/divs[j] = divs[len-1-j].
+		n2[i], n1[i] = t.divs[len(t.divs)-1-j], sub.divs[len(sub.divs)-1-k]
 	}
-	return out
+}
+
+// intnMax returns rand.Intn's rejection limit for 0 < n < 1<<31: the
+// largest Int31 value whose residue mod n is unbiased.
+func intnMax(n int) int32 {
+	return int32((1 << 31) - 1 - (1<<31)%uint32(n))
+}
+
+// intn returns exactly what rng.Intn(n) would, consuming the same Int63
+// values, given max = intnMax(n) precomputed. rand.Intn masks instead of
+// reducing when n is a power of two; its limit is then 1<<31-1, which no
+// value exceeds, and v%n equals the mask, so one path covers both.
+func intn(rng *rand.Rand, n int, max int32) int {
+	v := int32(rng.Int63() >> 32)
+	for v > max {
+		v = int32(rng.Int63() >> 32)
+	}
+	return int(v % int32(n))
 }
 
 // startOrder returns the fixed order if one is given, else the canonical
@@ -239,8 +277,24 @@ func startOrder(fixed []workload.Dim) (order [workload.NumDims]workload.Dim, fre
 	return workload.AllDims, true
 }
 
+// shuffleOrder is rng.Shuffle(NumDims, swap) written out: the same
+// Fisher–Yates swaps, each index drawn as Shuffle's unexported int31n
+// draws it (Lemire's multiply-and-threshold over Uint32), so the order
+// and the RNG state match Shuffle exactly without a closure per swap.
 func shuffleOrder(order *[workload.NumDims]workload.Dim, rng *rand.Rand) {
-	rng.Shuffle(workload.NumDims, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	for i := workload.NumDims - 1; i > 0; i-- {
+		n := uint32(i + 1)
+		prod := uint64(uint32(rng.Int63()>>31)) * uint64(n)
+		if low := uint32(prod); low < n {
+			thresh := -n % n
+			for low < thresh {
+				prod = uint64(uint32(rng.Int63()>>31)) * uint64(n)
+				low = uint32(prod)
+			}
+		}
+		j := int(prod >> 32)
+		order[i], order[j] = order[j], order[i]
+	}
 }
 
 // Neighbor returns a schedule one mutation away from s within the

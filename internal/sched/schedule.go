@@ -174,10 +174,23 @@ var (
 )
 
 // tilingTable lists one extent's (T2, T1) tiling choices: its divisors,
-// and for each divisor its own divisors.
+// and for each divisor its own divisors, each list with the limit of its
+// bounded draw (intnMax). Trip counts need no column of their own: a
+// divisor list is symmetric, so n/divs[j] is divs[len-1-j].
 type tilingTable struct {
-	divs []int   // L2 tile choices: Divisors(n)
-	sub  [][]int // sub[j] = Divisors(divs[j]), the RF tile choices under divs[j]
+	divisorList               // L2 tile choices: Divisors(n)
+	sub         []divisorList // sub[j]: the RF tile choices under divs[j]
+}
+
+// divisorList is Divisors(n) with its bounded-draw limit.
+type divisorList struct {
+	divs []int
+	max  int32
+}
+
+func divisorListOf(n int) divisorList {
+	divs := Divisors(n)
+	return divisorList{divs, intnMax(len(divs))}
 }
 
 // tilingTableFor returns the memoized tiling table of extent n; callers
@@ -189,10 +202,10 @@ func tilingTableFor(n int) *tilingTable {
 	if ok {
 		return t
 	}
-	t = &tilingTable{divs: Divisors(n)}
-	t.sub = make([][]int, len(t.divs))
+	t = &tilingTable{divisorList: divisorListOf(n)}
+	t.sub = make([]divisorList, len(t.divs))
 	for j, d := range t.divs {
-		t.sub[j] = Divisors(d)
+		t.sub[j] = divisorListOf(d)
 	}
 	tilingMu.Lock()
 	tilingCache[n] = t
